@@ -1,16 +1,27 @@
 """Exact representation-function histograms and energy functionals.
 
 Histograms are sparse (value -> count) and exact.  Large instances over
-scalar ambients run through numpy int64 broadcasting when the element
-magnitudes make that provably overflow-free; everything else uses plain
+scalar ambients and the plane run through numpy int64 broadcasting when
+`int64_exact` proves that no composition can overflow: the composed values
+are counted with `np.bincount` when their span (max - min + 1) is at most
+the number of pairs, so the count array is never larger than the pair
+array, and with a sort (`np.unique`) otherwise.  Everything else uses plain
 dictionaries with Python integers.  Energies are computed from the
 count-of-counts compression with arbitrary-precision arithmetic, so no
 value is ever approximated.
+
+Public functions that ask for the same histogram more than once run under
+`reuses_histograms`: while such a call runs, `rep_histogram` keeps the one
+histogram it built last and returns it again for an equal
+(A, B, mode, skip_noninvertible).  Nothing is kept once the outermost such
+call returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +45,10 @@ from .ambient import (
 from .errors import AmbientMismatch, CapExceeded, DivisionByZero, UnsupportedMode
 from .groundset import GroundSet
 
-# numpy is used only when int64 arithmetic provably cannot overflow.
-_NP_ADD_LIMIT = 2**62
-_NP_MUL_LIMIT = 3_037_000_499  # floor(sqrt(2^63 - 1))
+# Exclusive bounds on |operand| for exact int64 compositions:
+# |a +- b| < 2 * 2^62 and |a * b| < 3_037_000_500^2 < 2^63 - 1.
+_INT64_ADD_BOUND = 2**62
+_INT64_MUL_BOUND = 3_037_000_500
 _NP_PAIR_THRESHOLD = 8192      # below this, plain dicts win
 
 
@@ -51,7 +63,6 @@ class RepHistogram:
 
     def __init__(self, ambient: AmbientSpec, mode: str, entries: dict | None,
                  total_pairs: int, skipped_pairs: int = 0,
-                 left_label: str | None = None, right_label: str | None = None,
                  arrays: tuple | None = None, plane_modulus: int | None = None):
         self.ambient = ambient
         self.mode = mode
@@ -60,8 +71,6 @@ class RepHistogram:
         self._plane_modulus = plane_modulus
         self.total_pairs = total_pairs
         self.skipped_pairs = skipped_pairs
-        self.left_label = left_label
-        self.right_label = right_label
 
     # -- encoding helpers for the array backing ---------------------------
     def _encode(self, value):
@@ -82,18 +91,23 @@ class RepHistogram:
             return (raw // self._plane_modulus, raw % self._plane_modulus)
         return raw
 
+    def _position(self, value) -> int | None:
+        """Index of value in the array backing, or None when absent."""
+        enc = self._encode(value)
+        if enc is None:
+            return None
+        pos = int(np.searchsorted(self._vals, enc))
+        if pos < self._vals.size and int(self._vals[pos]) == enc:
+            return pos
+        return None
+
     def count(self, value) -> int:
         if isinstance(value, list):
             value = tuple(value)
         if self._dict is not None:
             return self._dict.get(value, 0)
-        enc = self._encode(value)
-        if enc is None:
-            return 0
-        pos = int(np.searchsorted(self._vals, enc))
-        if pos < self._vals.size and int(self._vals[pos]) == enc:
-            return int(self._cnts[pos])
-        return 0
+        pos = self._position(value)
+        return 0 if pos is None else int(self._cnts[pos])
 
     def iter_items(self):
         """(value, count) pairs in canonical value order, lazily."""
@@ -178,17 +192,19 @@ class RepHistogram:
                 ):
                     best = (v, c)
             return best
-        if not self._vals.size:
+        cnts = self._cnts
+        if excl:
+            cnts = cnts.copy()
+            for v in excl:
+                pos = self._position(v)
+                if pos is not None:
+                    cnts[pos] = 0
+        if not cnts.size:
             return None
-        if not excl:
-            idx = int(np.argmax(self._cnts))  # first max = smallest value
-            return self._decode(int(self._vals[idx])), int(self._cnts[idx])
-        order = np.argsort(-self._cnts, kind="stable")
-        for idx in order.tolist():
-            v = self._decode(int(self._vals[idx]))
-            if v not in excl:
-                return v, int(self._cnts[idx])
-        return None
+        idx = int(np.argmax(cnts))  # first max = smallest value
+        if cnts[idx] == 0:
+            return None  # every value excluded
+        return self._decode(int(self._vals[idx])), int(cnts[idx])
 
     def to_dict(self, max_entries: int = 100_000) -> dict:
         if self.support_size > max_entries:
@@ -211,17 +227,33 @@ class RepHistogram:
         }
 
 
-def _numpy_eligible(A: GroundSet, B: GroundSet, mode: str) -> bool:
-    amb = A.ambient
-    if mode == RATIO or len(A) * len(B) < _NP_PAIR_THRESHOLD:
+def int64_exact(amb: AmbientSpec, mode: str, *element_seqs) -> bool:
+    """True when composing elements of `element_seqs` in `mode`, reduction
+    included, provably stays inside int64: every integer operand has
+    |x| < 2^62 (sums and differences) or |x| < 3_037_000_500 (products),
+    and every residue is below the same bound.  Ratios never qualify, and
+    plane pairs qualify when their encoding x * p + y fits."""
+    if mode == RATIO:
         return False
+    if amb.kind == PLANE:
+        return amb.modulus <= 2**31
+    bound = _INT64_MUL_BOUND if mode == PRODUCT else _INT64_ADD_BOUND
     if amb.kind == INTEGERS:
-        limit = _NP_MUL_LIMIT if mode == PRODUCT else _NP_ADD_LIMIT
-        return all(abs(x) <= limit for s in (A, B) for x in s.elements)
-    if amb.kind in (MOD_N, PRIME_FIELD):
-        limit = _NP_MUL_LIMIT if mode == PRODUCT else _NP_ADD_LIMIT
-        return amb.modulus <= limit
-    return amb.modulus <= 2**31  # plane: encoded pairs must fit int64
+        return all(abs(x) < bound for s in element_seqs for x in s)
+    return amb.modulus <= bound  # residues are at most modulus - 1
+
+
+def _count_values(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of a fresh int64 array and their counts; the
+    array is consumed.  A span no larger than the array is counted with
+    bincount, whose count array is then no larger than `flat`."""
+    lo, hi = int(flat.min()), int(flat.max())
+    if hi - lo + 1 > flat.size:
+        return np.unique(flat, return_counts=True)
+    flat -= lo
+    counts = np.bincount(flat)
+    vals = np.flatnonzero(counts)
+    return vals + lo, counts[vals]
 
 
 def _numpy_entries(A: GroundSet, B: GroundSet, mode: str):
@@ -239,7 +271,8 @@ def _numpy_entries(A: GroundSet, B: GroundSet, mode: str):
             cx = (ax[:, None] + bx[None, :]) % p
             cy = (ay[:, None] + by[None, :]) % p
         flat = (cx * p + cy).ravel()
-        return np.unique(flat, return_counts=True)
+        del cx, cy
+        return _count_values(flat)
     va = np.fromiter(A.elements, dtype=np.int64, count=len(A))
     vb = np.fromiter(B.elements, dtype=np.int64, count=len(B))
     if mode == DIFFERENCE:
@@ -249,8 +282,33 @@ def _numpy_entries(A: GroundSet, B: GroundSet, mode: str):
     else:
         flat = (va[:, None] * vb[None, :]).ravel()
     if amb.kind in (MOD_N, PRIME_FIELD):
-        flat = flat % amb.modulus
-    return np.unique(flat, return_counts=True)
+        flat %= amb.modulus
+    return _count_values(flat)
+
+
+# The reuse slot of the innermost running `reuses_histograms` call: a dict
+# holding at most one histogram under "key" and "hist"; None outside.
+_REUSE_SLOT: ContextVar[dict | None] = ContextVar("sidonkit_histogram_reuse", default=None)
+
+
+def reuses_histograms(fn):
+    """Run fn with a histogram reuse slot.  While fn runs, `rep_histogram`
+    returns the histogram it built last when asked again for an equal
+    (A, B, mode, skip_noninvertible); any other request clears the slot
+    before building.  Nested calls join the outermost one, whose exit
+    clears the slot."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _REUSE_SLOT.get() is not None:
+            return fn(*args, **kwargs)
+        slot: dict = {}
+        token = _REUSE_SLOT.set(slot)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            slot.clear()
+            _REUSE_SLOT.reset(token)
+    return scoped
 
 
 def rep_histogram(A: GroundSet, B: GroundSet, mode: str,
@@ -261,12 +319,27 @@ def rep_histogram(A: GroundSet, B: GroundSet, mode: str,
     amb = A.ambient
     if mode not in amb.modes:
         raise UnsupportedMode(f"mode {mode!r} undefined for {amb.kind}")
-    skipped = 0
-    if _numpy_eligible(A, B, mode):
+    slot = _REUSE_SLOT.get()
+    key = (A, B, mode, skip_noninvertible)
+    if slot is not None:
+        if slot.get("key") == key:
+            return slot["hist"]
+        slot.clear()
+    hist = _build_histogram(A, B, mode, skip_noninvertible)
+    if slot is not None:
+        slot["key"], slot["hist"] = key, hist
+    return hist
+
+
+def _build_histogram(A: GroundSet, B: GroundSet, mode: str,
+                     skip_noninvertible: bool) -> RepHistogram:
+    amb = A.ambient
+    if (len(A) * len(B) >= _NP_PAIR_THRESHOLD
+            and int64_exact(amb, mode, A.elements, B.elements)):
         vals, counts = _numpy_entries(A, B, mode)
-        return RepHistogram(amb, mode, None, len(A) * len(B), 0,
-                            A.label, B.label, arrays=(vals, counts),
+        return RepHistogram(amb, mode, None, len(A) * len(B), 0, arrays=(vals, counts),
                             plane_modulus=amb.modulus if amb.kind == PLANE else None)
+    skipped = 0
     entries: dict = {}
     for a in A:
         for b in B:
@@ -278,8 +351,7 @@ def rep_histogram(A: GroundSet, B: GroundSet, mode: str,
                 skipped += 1
                 continue
             entries[v] = entries.get(v, 0) + 1
-    return RepHistogram(amb, mode, entries, len(A) * len(B) - skipped, skipped,
-                        A.label, B.label)
+    return RepHistogram(amb, mode, entries, len(A) * len(B) - skipped, skipped)
 
 
 def difference_histogram(A: GroundSet) -> RepHistogram:

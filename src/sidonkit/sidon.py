@@ -30,6 +30,7 @@ from .counting import (
     energy_k,
     max_disjoint_pairs,
     rep_histogram,
+    reuses_histograms,
 )
 from .errors import CapExceeded, UnsupportedMode, VerificationFailed
 from .groundset import GroundSet
@@ -517,12 +518,19 @@ def certified_bound(k: int, mode: str) -> int:
     return 3 * k - 3 if mode == DIFFERENCE else 2 * k - 2
 
 
-def _bound_holds(members, amb, mode, bound) -> bool:
-    S = GroundSet.from_iterable(amb, members)
+def bound_holds(S: GroundSet, mode: str, bound: int) -> bool:
+    """Does S meet an extraction's certified bound?  The identity is exempt
+    for differences only."""
     return verify_multiplicity(S, bound, mode,
                                exempt_identity=(mode == DIFFERENCE)) is None
 
 
+def sampling_rate(size: int, energy: int, k: int) -> float:
+    """Inclusion probability q = min(1, (|A| / 2E)^{1/(2k-1)})."""
+    return min(1.0, (size / (2.0 * energy)) ** (1.0 / (2 * k - 1)))
+
+
+@reuses_histograms
 def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
                    seed: int = 0, trials: int = 20) -> ExtractionResult:
     """Seeded random extraction of a subset B with certified multiplicity
@@ -546,8 +554,8 @@ def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
     if len(A) <= 1:
         return ExtractionResult(A, mode, k, bound, 1.0, seed, 0, 0, True)
     energy = energy_k(A, k, mode).value
-    q = min(1.0, (len(A) / (2.0 * energy)) ** (1.0 / (2 * k - 1)))
-    if _bound_holds(A.elements, amb, mode, bound):
+    q = sampling_rate(len(A), energy, k)
+    if bound_holds(A, mode, bound):
         return ExtractionResult(A, mode, k, bound, 1.0, seed, 0, 0, True, energy=energy)
 
     best_members: tuple = ()
@@ -558,7 +566,7 @@ def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
         rng = random.Random(f"{seed}:{t}")
         sample = [a for a in A.elements if rng.random() < q]
         members, deletions = _repair(sample, amb, mode, k)
-        if not _bound_holds(members, amb, mode, bound):
+        if not bound_holds(GroundSet.from_iterable(amb, members), mode, bound):
             raise VerificationFailed(
                 f"repair loop left a value above {bound} in mode {mode}; this is a bug"
             )

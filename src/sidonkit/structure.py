@@ -18,7 +18,7 @@ from fractions import Fraction
 from .ambient import (
     DIFFERENCE,
     INTEGERS,
-    MOD_N,
+    PLANE,
     PRIME_FIELD,
     PRODUCT,
     SUM,
@@ -29,12 +29,21 @@ from .ambient import (
 from .counting import (
     difference_histogram,
     dyadic_best_level,
+    energy_k,
+    int64_exact,
     kappa_of,
     rep_histogram,
+    reuses_histograms,
 )
 from .errors import EmptyCore, PreconditionFailed, UnsupportedMode
 from .groundset import GroundSet
-from .sidon import ExtractionResult, extract_random, verify_multiplicity
+from .sidon import (
+    ExtractionResult,
+    bound_holds,
+    certified_bound,
+    extract_random,
+    sampling_rate,
+)
 
 FORMAT_VERSION = 1
 
@@ -143,6 +152,7 @@ def _masses(A: GroundSet, P: GroundSet) -> dict:
     return {a: hist.count(a) for a in A}
 
 
+@reuses_histograms
 def energy_gap_decompose(A: GroundSet, delta, eps) -> StructureCertificate:
     """Iterate l = 2, 3, ...: stop with a small-energy certificate as soon
     as E_l <= |A|^(l+delta) exactly; otherwise, when one extra factor of
@@ -239,19 +249,11 @@ def _popularity_edges(P: GroundSet, M: int) -> set:
     return {v for v in hist.values_with_count_at_least(threshold) if v != zero}
 
 
-def _numpy_scalar_ok(amb: AmbientSpec, elements) -> bool:
-    if amb.kind == INTEGERS:
-        return all(abs(x) <= 2**62 for x in elements)
-    if amb.kind in (MOD_N, PRIME_FIELD):
-        return amb.modulus <= 2**62
-    return False
-
-
 def _max_degree_vertex(P: GroundSet, good: set):
     """Vertex of the popularity graph with the most neighbors; ties go to
     the smallest element (elements are scanned in canonical order)."""
     amb = P.ambient
-    if len(P) >= 64 and _numpy_scalar_ok(amb, P.elements):
+    if len(P) >= 64 and amb.kind != PLANE and int64_exact(amb, DIFFERENCE, P.elements):
         import numpy as np
         arr = np.fromiter(P.elements, dtype=np.int64, count=len(P))
         good_arr = np.fromiter(sorted(good), dtype=np.int64, count=len(good))
@@ -278,7 +280,8 @@ def _greedy_disjoint_translates(W, H: GroundSet) -> list:
     """Scan W in canonical order, keeping z whenever H+z avoids every
     translate already kept."""
     amb = H.ambient
-    if len(W) * len(H) >= 200_000 and _numpy_scalar_ok(amb, H.elements):
+    if (len(W) * len(H) >= 200_000 and amb.kind != PLANE
+            and int64_exact(amb, SUM, H.elements, W)):
         import numpy as np
         h = np.fromiter(H.elements, dtype=np.int64, count=len(H))
         covered = np.empty(0, dtype=np.int64)
@@ -415,6 +418,7 @@ def _ceil_sqrt(x: int) -> int:
     return s if s * s == x else s + 1
 
 
+@reuses_histograms
 def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
                          trials: int = 20, core_variant: str = "rigid",
                          l_max: int = 6) -> PipelineReport:
@@ -447,27 +451,14 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
     if core_variant == "rigid":
         try:
             cert = rigid_structure(A, Fraction(1, 4), eps, certificate=cert)
-            core = rigid_core_set(A, cert)
         except EmptyCore:
-            # degenerate one-element band: fall back to the heavy-mass core
-            core = GroundSet.from_iterable(A.ambient, _as_elements(A.ambient, cert.core["core"]))
-    else:
-        core = GroundSet.from_iterable(A.ambient, _as_elements(A.ambient, cert.core["core"]))
-    zero = A.ambient.identity(DIFFERENCE)
-    zero_removed = zero in core.members
-    if zero_removed:
-        core = core.restrict(lambda x: x != zero)
+            pass  # degenerate one-element band: keep the heavy-mass core
+    core, zero_removed = _pipeline_core(A, cert)
     if len(core) < 2:
         return PipelineReport(MULTIPLICATIVE_BRANCH, cert, core, None, core_set=core,
                               zero_removed=zero_removed, sqrt_target=target,
                               degenerate=True, parameters=params)
-    hist = rep_histogram(core, core, PRODUCT)
-    multiset = hist.count_multiset()
-    kappa_table = {}
-    for l in range(2, l_max + 1):
-        e_l = sum(mult * c**l for c, mult in multiset.items())
-        kappa_table[l] = kappa_of(e_l, len(core), l)
-    chosen_l = min(kappa_table, key=lambda l: (kappa_table[l], l))
+    kappa_table, chosen_l = _kappa_table(core, l_max)
     ext = extract_random(core, chosen_l, PRODUCT, seed=seed, trials=trials)
     return PipelineReport(MULTIPLICATIVE_BRANCH, cert, ext.subset, ext,
                           core_set=core, zero_removed=zero_removed,
@@ -475,9 +466,37 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
                           sqrt_target=target, parameters=params)
 
 
+def _pipeline_core(A: GroundSet, cert: StructureCertificate) -> tuple[GroundSet, bool]:
+    """The multiplicative branch's core: (H + Z) ^ A for a rigid
+    certificate, the heavy-mass core otherwise, with zero removed; and
+    whether zero was removed."""
+    amb = A.ambient
+    if cert.variant == RIGID_STRUCTURE:
+        core = rigid_core_set(A, cert)
+    else:
+        core = GroundSet.from_iterable(amb, _as_elements(amb, cert.core["core"]))
+    zero = amb.identity(DIFFERENCE)
+    if zero not in core.members:
+        return core, False
+    return core.restrict(lambda x: x != zero), True
+
+
+def _kappa_table(core: GroundSet, l_max: int) -> tuple[dict, int]:
+    """Multiplicative kappa at orders 2..l_max, and the order with the
+    smallest kappa (ties to the smaller order)."""
+    multiset = rep_histogram(core, core, PRODUCT).count_multiset()
+    kappa_table = {}
+    for l in range(2, l_max + 1):
+        e_l = sum(mult * c**l for c, mult in multiset.items())
+        kappa_table[l] = kappa_of(e_l, len(core), l)
+    chosen_l = min(kappa_table, key=lambda l: (kappa_table[l], l))
+    return kappa_table, chosen_l
+
+
 # ---------------------------------------------------------------------------
 # Verification
 
+@reuses_histograms
 def verify_certificate(A: GroundSet, cert: StructureCertificate) -> list[str]:
     """Recompute every stored statistic from (A, certificate); returns the
     list of mismatches (empty = certificate verifies)."""
@@ -627,46 +646,128 @@ def _verify_rigid(A: GroundSet, cert: StructureCertificate, M: int, n: int) -> l
     return issues
 
 
+@reuses_histograms
 def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
-    """Recompute a serialized pipeline report's checkable facts: the
-    embedded certificate, the branch decision, the extraction subset's
-    certified bound, and the size comparison."""
-    issues: list[str] = []
-    branch = report_dict.get("branch")
-    cert_dict = report_dict.get("certificate")
+    """Recompute a serialized pipeline report from A, its parameters and
+    its certificate; returns the list of mismatches (empty = verifies).
+
+    Checked: the embedded certificate, and that it was made with delta 1/4
+    and the report's eps; the branch; the parameters; the structured core
+    with its zero removal; the multiplicative kappa table and chosen order;
+    the degenerate flag; the extraction's order, mode, bound, energy,
+    sampling rate q, seed and trial count; the subset's containment and
+    certified bound; and the size comparison.  The extraction trials are
+    not re-run, so `trial_sizes` and `best_trial` are checked for
+    consistency only: one size per trial, and `best_trial` is the first
+    maximum and equals `subset_size`.
+    """
     subset_dict = report_dict.get("subset")
     if subset_dict is None:
         return ["missing subset"]
-    from .groundset import GroundSet as GS
-    from .ambient import AmbientSpec as AS
-    amb = AS.from_dict(subset_dict["ambient"])
-    subset = GS.from_iterable(amb, _as_elements(amb, subset_dict["elements"]))
-    if report_dict.get("subset_size") != len(subset):
-        issues.append("subset size mismatch")
-    if report_dict.get("sqrt_target") != _ceil_sqrt(len(A)):
-        issues.append("sqrt target mismatch")
-    if report_dict.get("meets_sqrt_target") != (len(subset) >= _ceil_sqrt(len(A))):
-        issues.append("sqrt comparison mismatch")
-    if branch == "degenerate":
-        return issues
-    if cert_dict is None:
-        return issues + ["missing certificate"]
-    cert = StructureCertificate.from_json_dict(cert_dict)
-    issues += verify_certificate(A, cert)
-    expected_branch = ADDITIVE_BRANCH if cert.variant == SMALL_ENERGY else MULTIPLICATIVE_BRANCH
-    if branch != expected_branch:
-        issues.append(f"branch {branch!r} inconsistent with certificate variant")
-    ext = report_dict.get("extraction")
-    if ext is not None:
-        mode = ext.get("mode")
-        bound = ext.get("bound")
-        from .sidon import certified_bound
-        if bound != certified_bound(ext.get("k", 0), mode):
-            issues.append("extraction bound inconsistent with k and mode")
-        witness = verify_multiplicity(subset, bound, mode,
-                                      exempt_identity=(mode == DIFFERENCE))
-        if witness is not None:
-            issues.append("extraction subset fails its certified bound")
+    amb = AmbientSpec.from_dict(subset_dict["ambient"])
+    subset = GroundSet.from_iterable(amb, _as_elements(amb, subset_dict["elements"]))
+    issues: list[str] = []
     if not subset.members <= A.members:
         issues.append("subset is not contained in A")
+    params = report_dict.get("parameters")
+    try:
+        eps = as_fraction(params["eps"])
+        seed, trials = params["seed"], params["trials"]
+        core_variant, l_max = params["core_variant"], params["l_max"]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return issues + [f"unreadable parameters: {exc!r}"]
+    if not (all(isinstance(x, int) for x in (seed, trials, l_max))
+            and core_variant in ("rigid", "popular")):
+        return issues + ["parameters out of range"]
+    n = len(A)
+    target = _ceil_sqrt(n)
+    expected = {
+        "format_version": FORMAT_VERSION, "kind": "pipeline-report",
+        "parameters": {"delta": "1/4", "eps": str(eps), "seed": seed, "trials": trials,
+                       "core_variant": core_variant, "l_max": l_max},
+        "core_set": None, "zero_removed": False, "kappa_table": {}, "chosen_l": None,
+        "degenerate": False, "subset_size": len(subset), "sqrt_target": target,
+        "meets_sqrt_target": len(subset) >= target, "verified": True,
+    }
+    source, k, mode = A, None, None  # extraction input, order and mode
+    if n < 4:
+        expected.update(branch="degenerate", certificate=None, extraction=None,
+                        degenerate=True)
+    else:
+        cert_dict = report_dict.get("certificate")
+        if not isinstance(cert_dict, dict):
+            return issues + ["missing certificate"]
+        try:
+            cert = StructureCertificate.from_json_dict(cert_dict)
+        except (KeyError, TypeError, ValueError) as exc:
+            return issues + [f"unreadable certificate: {exc!r}"]
+        cert_issues = verify_certificate(A, cert)
+        if cert_issues:
+            return issues + cert_issues
+        if (cert.parameters.get("delta"), cert.parameters.get("eps")) != ("1/4", str(eps)):
+            issues.append("certificate not made with delta 1/4 and the report's eps")
+        if cert.variant == SMALL_ENERGY:
+            expected["branch"] = ADDITIVE_BRANCH
+            k, mode = cert.small["k"], DIFFERENCE
+        else:
+            expected["branch"] = MULTIPLICATIVE_BRANCH
+            band_size = len(cert.core["band"])
+            rigid = core_variant == "rigid" and band_size >= 2
+            if (cert.variant == RIGID_STRUCTURE) != rigid:
+                issues.append(f"certificate variant {cert.variant!r} does not follow "
+                              f"core variant {core_variant!r} and band size {band_size}")
+            source, zero_removed = _pipeline_core(A, cert)
+            expected.update(core_set=source.to_dict() if source else None,
+                            zero_removed=zero_removed)
+            if len(source) < 2:
+                expected.update(degenerate=True, extraction=None)
+            elif l_max < 2:
+                return issues + ["l_max below 2 leaves no multiplicative order"]
+            else:
+                kappa_table, k = _kappa_table(source, l_max)
+                expected.update(kappa_table={str(l): v for l, v in kappa_table.items()},
+                                chosen_l=k)
+                mode = PRODUCT
+    for key, value in expected.items():
+        if report_dict.get(key) != value:
+            issues.append(f"{key} does not recompute")
+    if mode is None:
+        if subset != source:
+            issues.append("subset is not the whole input of a run without extraction")
+        return issues
+    ext = report_dict.get("extraction")
+    if not isinstance(ext, dict):
+        return issues + ["missing extraction"]
+    return issues + _verify_extraction(source, k, mode, seed, trials, ext,
+                                       subset_dict, subset)
+
+
+def _verify_extraction(source: GroundSet, k: int, mode: str, seed: int, trials: int,
+                       ext: dict, subset_dict: dict, subset: GroundSet) -> list[str]:
+    """Recompute an extraction's deterministic fields from its input; the
+    trials themselves are checked for consistency only."""
+    issues = []
+    bound = certified_bound(k, mode)
+    energy = energy_k(source, k, mode).value
+    expected = {"mode": mode, "k": k, "bound": bound, "energy": energy, "seed": seed,
+                "verified": True, "subset": subset_dict, "subset_size": len(subset)}
+    if bound_holds(source, mode, bound):
+        expected.update(q=1.0, trials=0, deletions=0, trial_sizes=[], best_trial=None)
+        if subset != source:
+            issues.append("extraction input already meets its bound but was not kept whole")
+    else:
+        expected.update(q=sampling_rate(len(source), energy, k), trials=trials)
+        sizes, best = ext.get("trial_sizes"), ext.get("best_trial")
+        if not (isinstance(sizes, list) and len(sizes) == trials
+                and all(isinstance(x, int) for x in sizes)
+                and best == (sizes.index(max(sizes)) if sizes else None)
+                and len(subset) == (max(sizes) if sizes else 0)):
+            issues.append("trial_sizes and best_trial are inconsistent with the subset")
+    for key, value in expected.items():
+        if ext.get(key) != value:
+            issues.append(f"extraction {key} does not recompute")
+    if not subset.members <= source.members:
+        issues.append("subset is not contained in the extraction input")
+    if not bound_holds(subset, mode, bound):
+        issues.append("extraction subset fails its certified bound")
     return issues

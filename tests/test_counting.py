@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,13 @@ from sidonkit import (
     popular_level_set,
     rep_histogram,
 )
-from sidonkit.counting import difference_histogram, max_disjoint_pairs
+from sidonkit import counting
+from sidonkit.counting import (
+    difference_histogram,
+    int64_exact,
+    max_disjoint_pairs,
+    reuses_histograms,
+)
 
 
 def test_rep_histogram_examples():
@@ -252,3 +259,130 @@ def test_field_histogram_total(elems):
     h = difference_histogram(A)
     assert sum(c for _, c in h.iter_items()) == len(A) ** 2
     assert h.count(0) == len(A)
+
+
+def test_int64_edge_stays_exact():
+    # 2^62 - (-2^62) = 2^63 leaves int64; such sets must take the exact path
+    A = integer_set([-2**62, 2**62] + list(range(100)))
+    assert energy_k(A, 2, "difference").value == 667510
+    assert energy_k(A, 2, "sum").value == 667510
+    assert not int64_exact(A.ambient, "difference", A.elements)
+    assert int64_exact(A.ambient, "sum", [2**62 - 1, -(2**62 - 1)])
+    edge = integer_set([-3_037_000_499, 3_037_000_499] + list(range(100)))
+    assert int64_exact(edge.ambient, "product", edge.elements)
+    assert not int64_exact(edge.ambient, "product", [3_037_000_500])
+    assert energy_k(edge, 2, "product").value == oracle_energy_grouped(edge, 2, "product")
+
+
+class _BackendSpy:
+    """Stands in for numpy inside `counting` and records which counting
+    routine a histogram used."""
+
+    def __init__(self):
+        self.used = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("bincount", "unique"):
+            return fn
+
+        def recorded(*args, **kwargs):
+            self.used.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+
+def _numpy_and_dict(monkeypatch, A, B, mode):
+    """(counting routines used, array-backed histogram, dict histogram)."""
+    spy = _BackendSpy()
+    monkeypatch.setattr(counting, "np", spy)
+    monkeypatch.setattr(counting, "_NP_PAIR_THRESHOLD", 1)
+    fast = rep_histogram(A, B, mode)
+    monkeypatch.setattr(counting, "np", np)
+    monkeypatch.setattr(counting, "_NP_PAIR_THRESHOLD", 10**30)
+    slow = rep_histogram(A, B, mode)
+    monkeypatch.undo()
+    return spy.used, fast, slow
+
+
+def _with_ends(rng, lo, hi, n):
+    return [lo, hi] + rng.sample(range(lo + 1, hi), n - 2)
+
+
+def test_histogram_backends_agree(monkeypatch):
+    rng = random.Random(43)
+    mod = AmbientSpec.mod(2**6)
+    cases = [
+        # negative integers: dense (bincount) and spread (sort)
+        (integer_set(rng.sample(range(-400, -100), 60)), None, "difference", "bincount"),
+        (integer_set(rng.sample(range(-400, -100), 60)), None, "sum", "bincount"),
+        (integer_set(rng.sample(range(-10**9, 0), 60)), None, "difference", "unique"),
+        # difference span (maxA - minA) + (maxB - minB) + 1 equal to the
+        # 90 * 92 = 8280 pairs, then one more
+        (integer_set(_with_ends(rng, 0, 4139, 90)), integer_set(_with_ends(rng, 0, 4140, 92)),
+         "difference", "bincount"),
+        (integer_set(_with_ends(rng, 0, 4139, 90)), integer_set(_with_ends(rng, 0, 4141, 92)),
+         "difference", "unique"),
+        # Z/2^6 with its 2-torsion element 32, and a sparse set in Z/2^20
+        (GroundSet.from_iterable(mod, [0, 32] + rng.sample(range(1, 32), 10)), None,
+         "difference", "bincount"),
+        (GroundSet.from_iterable(mod, [0, 32] + rng.sample(range(33, 64), 10)), None,
+         "sum", "bincount"),
+        (GroundSet.from_iterable(AmbientSpec.mod(2**20), [0, 2**19] + rng.sample(range(1, 2**19), 10)),
+         None, "difference", "unique"),
+        # the plane over F_2 (whole plane) and F_3
+        (GroundSet.from_iterable(AmbientSpec.plane(2), [(0, 0), (0, 1), (1, 0), (1, 1)]), None,
+         "difference", "bincount"),
+        (GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (2, 2)]), None, "sum", "unique"),
+        (GroundSet.from_iterable(AmbientSpec.plane(3), [(x, y) for x in range(3) for y in range(2)]),
+         None, "difference", "bincount"),
+    ]
+    for A, B, mode, backend in cases:
+        B = A if B is None else B
+        used, fast, slow = _numpy_and_dict(monkeypatch, A, B, mode)
+        assert used == [backend], (A, mode)
+        assert slow._dict is not None
+        assert fast.to_counts_dict() == slow.to_counts_dict(), (A, mode)
+        assert fast.items() == slow.items()
+        pure = {}
+        for a in A:
+            for b in B:
+                v = counting.compose_value(A.ambient, mode, a, b)
+                pure[v] = pure.get(v, 0) + 1
+        assert fast.to_counts_dict() == pure
+
+
+def test_max_count_exclusions_match_dict_path(monkeypatch):
+    A = integer_set([0, 1, 2, 3])  # r(0) = 4, r(+-1) = 3, r(+-2) = 2, r(+-3) = 1
+    _, fast, slow = _numpy_and_dict(monkeypatch, A, A, "difference")
+    assert fast._dict is None and slow._dict is not None
+    everything = [v for v, _ in slow.items()]
+    for exclude in ((), (0,), (0, -1), (0, -1, 1), (0, 5), (Fraction(1, 2),),
+                    tuple(everything[1:]), tuple(everything)):
+        assert fast.max_count(exclude) == slow.max_count(exclude), exclude
+    assert fast.max_count((0,)) == (-1, 3)
+    assert fast.max_count(everything) is None
+    assert fast.count(0) == 4  # the exclusion left the counts untouched
+    P = GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (0, 1), (1, 0)])
+    _, fast, slow = _numpy_and_dict(monkeypatch, P, P, "difference")
+    for exclude in ((), ((0, 0),), ((0, 0), (0, 1)), tuple(v for v, _ in slow.items())):
+        assert fast.max_count(exclude) == slow.max_count(exclude), exclude
+
+
+def test_histogram_reuse_is_call_scoped():
+    A = integer_range(0, 120)
+    assert rep_histogram(A, A, "difference") is not rep_histogram(A, A, "difference")
+
+    @reuses_histograms
+    def twice(B):
+        first = rep_histogram(A, A, "difference")
+        again = difference_histogram(integer_range(0, 120))  # equal, not identical
+        other = rep_histogram(A, B, "difference")
+        inner = reuses_histograms(lambda: rep_histogram(A, B, "difference"))()
+        return first, again, other, inner
+
+    first, again, other, inner = twice(integer_range(5, 50))
+    assert first is again
+    assert other is not first and inner is other  # the nested call joined the scope
+    assert counting._REUSE_SLOT.get() is None  # nothing held after the call
+    assert twice(A)[0] is not first

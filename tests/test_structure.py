@@ -23,7 +23,7 @@ from sidonkit import (
     verify_multiplicity,
     verify_pipeline_report,
 )
-from sidonkit.structure import ceil_power, power_at_most
+from sidonkit.structure import _max_degree_vertex, ceil_power, power_at_most
 
 
 def test_exact_power_helpers():
@@ -180,6 +180,46 @@ def test_pipeline_multiplicative_branch_small():
     assert verify_pipeline_report(A, rep.to_json_dict()) == []
 
 
+def test_pipeline_report_tampering_detected():
+    A = integer_range(1, 257)
+    report = json.loads(json.dumps(sum_product_pipeline(A, seed=3).to_json_dict()))
+    assert verify_pipeline_report(A, report) == []
+    ext = report["extraction"]
+    assert ext["trials"] == 20 and ext["q"] < 1  # the trials ran
+    sizes = ext["trial_sizes"]
+
+    def drop_last(d):
+        return dict(d, elements=d["elements"][:-1])
+
+    tampers = {
+        "parameters.delta": lambda r: r["parameters"].update(delta="1/2"),
+        "parameters.eps": lambda r: r["parameters"].update(eps="1/8"),
+        "parameters.seed": lambda r: r["parameters"].update(seed=4),
+        "parameters.trials": lambda r: r["parameters"].update(trials=19),
+        "parameters.core_variant": lambda r: r["parameters"].update(core_variant="popular"),
+        "parameters.l_max": lambda r: r["parameters"].update(l_max=5),
+        "degenerate": lambda r: r.update(degenerate=True),
+        "zero_removed": lambda r: r.update(zero_removed=True),
+        "core_set": lambda r: r.update(core_set=drop_last(r["core_set"])),
+        "kappa_table": lambda r: r["kappa_table"].update({"3": r["kappa_table"]["3"] + 1e-9}),
+        "chosen_l": lambda r: r.update(chosen_l=r["chosen_l"] - 1),
+        "extraction.k": lambda r: r["extraction"].update(k=r["extraction"]["k"] - 1),
+        "extraction.energy": lambda r: r["extraction"].update(energy=r["extraction"]["energy"] + 1),
+        "extraction.q": lambda r: r["extraction"].update(q=r["extraction"]["q"] * 1.01),
+        "extraction.trial_sizes length": lambda r: r["extraction"].update(
+            trial_sizes=sizes + [0]),
+        "extraction.trial_sizes earlier max": lambda r: r["extraction"].update(
+            trial_sizes=[max(sizes)] + sizes[1:]),
+        "extraction.best_trial": lambda r: r["extraction"].update(
+            best_trial=r["extraction"]["best_trial"] + 1),
+    }
+    for name, tamper in tampers.items():
+        copy = json.loads(json.dumps(report))
+        tamper(copy)
+        assert copy != report, name
+        assert verify_pipeline_report(A, copy) != [], name
+
+
 def test_pipeline_popular_core_variant():
     A = integer_range(1, 257)
     rep = sum_product_pipeline(A, seed=4, trials=8, core_variant="popular")
@@ -220,3 +260,9 @@ def test_decompose_on_plane_sets():
     assert verify_certificate(A, cert) == []
     blob = json.loads(json.dumps(cert.to_json_dict()))
     assert verify_certificate(A, StructureCertificate.from_json_dict(blob)) == []
+
+
+def test_max_degree_vertex_int64_edge():
+    # 2^62 - (-2^62) = 2^63 leaves int64, so this band takes the exact path
+    P = integer_set([-2**62, 2**62] + list(range(62)))
+    assert _max_degree_vertex(P, {2**63}) == (2**62, 1)
