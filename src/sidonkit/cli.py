@@ -105,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, default=20)
     common.add_argument("--cap", type=int, default=40,
                         help="element cap for exact searches")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is "
-                             "sequential and deterministic either way")
     parser = argparse.ArgumentParser(
         prog="sidonkit",
         description="Exact energies, Sidon-type extraction, structure "
@@ -409,10 +406,7 @@ def _bench(args) -> tuple[dict, int, str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    args = build_parser().parse_args(argv)
     inputs: dict = {}
     t0 = time.monotonic()
     try:

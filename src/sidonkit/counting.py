@@ -52,6 +52,12 @@ _INT64_MUL_BOUND = 3_037_000_500
 _NP_PAIR_THRESHOLD = 8192      # below this, plain dicts win
 
 
+def _hashable(value):
+    """A value as histogram keys hold it: a plane pair given as a list
+    becomes a tuple, as in `RepHistogram.count`."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 class RepHistogram:
     """Multiplicity map r_{A o B} for one binary composition.
 
@@ -143,7 +149,7 @@ class RepHistogram:
     def count_multiset(self, exclude_values=()) -> dict:
         """Map count -> number of values attaining it."""
         if self._dict is not None:
-            excl = set(exclude_values)
+            excl = {_hashable(v) for v in exclude_values}
             out: dict[int, int] = {}
             for v, c in self._dict.items():
                 if v in excl:
@@ -181,7 +187,7 @@ class RepHistogram:
     def max_count(self, exclude_values=()):
         """(value, count) with the largest count outside the excluded values,
         ties broken by canonical value order; None on empty support."""
-        excl = set(exclude_values)
+        excl = {_hashable(v) for v in exclude_values}
         if self._dict is not None:
             best = None
             for v, c in self._dict.items():

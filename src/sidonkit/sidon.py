@@ -19,6 +19,7 @@ from .ambient import (
     DIFFERENCE,
     INTEGERS,
     PRODUCT,
+    RATIO,
     SUM,
     AmbientSpec,
     compose_value,
@@ -133,8 +134,7 @@ def verify_bfamily(S: GroundSet, params: BFamilyParams, cap: int = 2_000_000):
     k, g = params.k, params.g
     if len(S) < k:
         return None
-    import math as _math
-    if _math.comb(len(S), k) > cap:
+    if math.comb(len(S), k) > cap:
         raise CapExceeded(f"C({len(S)}, {k}) exceeds the enumeration cap {cap}")
     amb = S.ambient
     members = S.members
@@ -155,29 +155,87 @@ def verify_bfamily(S: GroundSet, params: BFamilyParams, cap: int = 2_000_000):
     return None
 
 
-_sort_key = value_sort_key
-
-
 # ---------------------------------------------------------------------------
-# Multiplicity bookkeeping shared by search and extraction
+# Multiplicity budget shared by the greedy pass and the exact search
 
-def _insertion_deltas(amb: AmbientSpec, mode: str, a, chosen) -> dict:
-    """Value -> count increase caused by inserting a next to `chosen`."""
-    delta: dict = {}
-    if mode == DIFFERENCE:
-        for b in chosen:
-            for v in (compose_value(amb, DIFFERENCE, a, b),
-                      compose_value(amb, DIFFERENCE, b, a)):
-                delta[v] = delta.get(v, 0) + 1
-    else:
-        for b in chosen:
-            v = compose_value(amb, mode, a, b)
-            delta[v] = delta.get(v, 0) + 2
-        v = compose_value(amb, mode, a, a)
-        delta[v] = delta.get(v, 0) + 1
-        if mode == PRODUCT:
-            delta.pop(1, None)  # multiplicative identity is exempt
-    return delta
+class _Budget:
+    """Room left under the budget k for every value class of a growing
+    subset `chosen` of `elems` (indices into it).
+
+    r(v) counts ordered pairs, so inserting elems[j] next to each chosen s
+    adds r(j o s) and r(s o j), plus r(j o j).  Every value gets a small
+    integer id from `row`.  In difference and ratio mode v and its inverse
+    share one id, since r(v) = r(v^-1): a pair then adds 1 to its class,
+    and a self-inverse class (x = -x, or the ratio -1) gets room k // 2.
+    In sum and product mode j o s = s o j, so a pair adds 2.  The self pair
+    adds 1, and the mode's identity has a slot that never binds.
+    """
+
+    def __init__(self, amb: AmbientSpec, mode: str, elems: list, k: int):
+        self.amb, self.mode, self.elems, self.k = amb, mode, elems, k
+        self.step = 1 if mode in (DIFFERENCE, RATIO) else 2
+        self.ids: dict = {}
+        self.room: list[int] = []
+        self.chosen: list[int] = []
+        ident = amb.identity(mode)
+        if ident is not None:
+            self.ids[ident] = 0
+            self.room.append(2 * len(elems) ** 2 + 1)  # never reaches 0
+
+    def row(self, j: int, among) -> dict:
+        """s -> id of elems[j] o elems[s] for s in `among`."""
+        amb, mode, elems, ids = self.amb, self.mode, self.elems, self.ids
+        a = elems[j]
+        out = {}
+        for s in among:
+            v = compose_value(amb, mode, a, elems[s])
+            i = ids.get(v)
+            if i is None:
+                w = v if self.step == 2 else compose_value(amb, mode, elems[s], a)
+                i = ids[v] = ids[w] = len(self.room)
+                self.room.append(self.k // 2 if v == w and self.step == 1 else self.k)
+            out[s] = i
+        return out
+
+    def insert(self, j: int, row) -> bool:
+        """Add j to `chosen` when every class keeps room >= 0; otherwise
+        leave the state as it was.  `row[s]` is the id of j o s, for s = j
+        and every chosen s.  Increments are applied one at a time, since
+        several of them may hit one id."""
+        room, step, chosen = self.room, self.step, self.chosen
+        v = row[j]
+        if room[v] == 0:
+            return False
+        room[v] -= 1
+        for s in reversed(chosen):  # a clash with the latest is likeliest
+            v = row[s]
+            r = room[v] - step
+            if r < 0:
+                for t in reversed(chosen):
+                    if t == s:
+                        break
+                    room[row[t]] += step
+                room[row[j]] += 1
+                return False
+            room[v] = r
+        chosen.append(j)
+        return True
+
+    def pop(self, row) -> None:
+        """Undo the last insertion; `row` is the one it was made with."""
+        room, step, chosen = self.room, self.step, self.chosen
+        j = chosen.pop()
+        for s in chosen:
+            room[row[s]] += step
+        room[row[j]] += 1
+
+
+def _greedy(budget: _Budget, order) -> list[int]:
+    """Insert the indices of `order` one by one, keeping each that fits."""
+    chosen = budget.chosen
+    for j in order:
+        budget.insert(j, budget.row(j, chosen + [j]))
+    return chosen
 
 
 def sid_k_greedy(A: GroundSet, k: int, mode: str = DIFFERENCE,
@@ -187,293 +245,70 @@ def sid_k_greedy(A: GroundSet, k: int, mode: str = DIFFERENCE,
     when seed is None)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = list(A.elements)
+    elems = list(A.elements)
+    order = list(range(len(elems)))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    amb = A.ambient
-    chosen: list = []
-    counts: dict = {}
-    for a in order:
-        delta = _insertion_deltas(amb, mode, a, chosen)
-        if all(counts.get(v, 0) + dv <= k for v, dv in delta.items()):
-            for v, dv in delta.items():
-                counts[v] = counts.get(v, 0) + dv
-            chosen.append(a)
-    return GroundSet.from_iterable(amb, chosen)
-
-
-def _pair_capacity(span: int, k: int) -> int:
-    """Unordered-pair capacity of an integer window of the given span under
-    a per-difference budget k: sum over x = 1..span of min(k, span+1-x),
-    by double counting (difference x fits at most span+1-x times)."""
-    if span <= 0:
-        return 0
-    if span < k:
-        return span * (span + 1) // 2
-    return k * (span - k + 1) + k * (k - 1) // 2
-
-
-def _capacity_room(c: int, remaining_budget: int) -> int:
-    """Largest t with C(t,2) + c*t <= remaining_budget."""
-    if remaining_budget < 0:
-        return 0
-    b = 2 * c - 1
-    t = (math.isqrt(b * b + 8 * remaining_budget) - b) // 2
-    while t * (t - 1) // 2 + c * t > remaining_budget:
-        t -= 1
-    return t
-
-
-def _sid_exact_integer_difference(A: GroundSet, k: int,
-                                  warm: list) -> tuple[int, list]:
-    """Branch and bound specialized to integer sets in difference mode:
-    positive-difference counts live in a flat array, and a window-capacity
-    bound (chosen pairs + cross pairs + future pairs cannot exceed the
-    double-counting capacity of the remaining span) prunes suffixes.
-
-    When the candidate set is mirror-symmetric, reflection preserves
-    feasibility and size, so the search may assume min + max <= lo + hi of
-    the whole set, which caps the window once the first element is fixed.
-    The jitted kernel and the pure fallback traverse in the same order and
-    return identical witnesses.
-    """
-    import bisect
-
-    elems = list(A.elements)
-    n = len(elems)
-    lo0, hi0 = elems[0], elems[-1]
-    member_set = set(elems)
-    symmetric = all(lo0 + hi0 - x in member_set for x in elems)
-    kernel = _jitted_search_kernel()
-    if kernel is not None:
-        import numpy as np
-        arr = np.fromiter(elems, dtype=np.int64, count=n)
-        best_size, best_arr = kernel(arr, k, symmetric, len(warm))
-        if best_size <= len(warm):
-            return len(warm), list(warm)
-        return int(best_size), [int(x) for x in best_arr[:best_size]]
-    counts = [0] * (hi0 - lo0 + 1)
-    best = [len(warm), list(warm)]
-    chosen: list = []
-
-    def dfs(i: int, limit: int, eff_last: int) -> None:
-        if i >= limit:
-            return
-        c = len(chosen)
-        lo = chosen[0] if chosen else elems[i]
-        budget = _pair_capacity(eff_last - lo, k) - c * (c - 1) // 2
-        room = _capacity_room(c, budget)
-        if limit - i < room:
-            room = limit - i
-        if c + room <= best[0]:
-            return
-        a = elems[i]
-        ok = True
-        for b in chosen:
-            if counts[a - b] >= k:
-                ok = False
-                break
-        if ok:
-            if c == 0 and symmetric:
-                new_limit = bisect.bisect_right(elems, lo0 + hi0 - a)
-                new_eff_last = elems[new_limit - 1] if new_limit else a
-            else:
-                new_limit, new_eff_last = limit, eff_last
-            for b in chosen:
-                counts[a - b] += 1
-            chosen.append(a)
-            if len(chosen) > best[0]:
-                best[0] = len(chosen)
-                best[1] = list(chosen)
-            dfs(i + 1, new_limit, new_eff_last)
-            chosen.pop()
-            for b in chosen:
-                counts[a - b] -= 1
-        dfs(i + 1, limit, eff_last)
-
-    dfs(0, n, hi0)
-    return best[0], best[1]
-
-
-_JIT_KERNEL = None
-_JIT_TRIED = False
-
-
-def _jitted_search_kernel():
-    """Compile (once) the stack-based search kernel; None when numba is
-    unavailable, in which case the pure traversal runs instead."""
-    global _JIT_KERNEL, _JIT_TRIED
-    if _JIT_TRIED:
-        return _JIT_KERNEL
-    _JIT_TRIED = True
-    try:
-        import numpy as np
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=True)
-    def kernel(elems, k, symmetric, warm_size):
-        n = elems.shape[0]
-        lo0 = elems[0]
-        hi0 = elems[n - 1]
-        counts = np.zeros(hi0 - lo0 + 1, dtype=np.int64)
-        chosen = np.zeros(n + 1, dtype=np.int64)
-        best = warm_size
-        best_set = np.zeros(n + 1, dtype=np.int64)
-        depth = 2 * n + 8
-        stack_i = np.zeros(depth, dtype=np.int64)
-        stack_limit = np.zeros(depth, dtype=np.int64)
-        stack_last = np.zeros(depth, dtype=np.int64)
-        stack_phase = np.zeros(depth, dtype=np.int64)
-        stack_a = np.zeros(depth, dtype=np.int64)
-        top = 0
-        stack_i[0] = 0
-        stack_limit[0] = n
-        stack_last[0] = hi0
-        stack_phase[0] = 0
-        c = 0
-        while top >= 0:
-            i = stack_i[top]
-            limit = stack_limit[top]
-            eff_last = stack_last[top]
-            phase = stack_phase[top]
-            if phase == 1:
-                a = stack_a[top]
-                c -= 1
-                for j in range(c):
-                    counts[a - chosen[j]] -= 1
-                stack_phase[top] = 2
-                top += 1
-                stack_i[top] = i + 1
-                stack_limit[top] = limit
-                stack_last[top] = eff_last
-                stack_phase[top] = 0
-                continue
-            if phase == 2:
-                top -= 1
-                continue
-            if i >= limit or c + (limit - i) <= best:
-                top -= 1
-                continue
-            lo = chosen[0] if c > 0 else elems[i]
-            span = eff_last - lo
-            if span < k:
-                capacity = span * (span + 1) // 2
-            else:
-                capacity = k * (span - k + 1) + k * (k - 1) // 2
-            budget = capacity - c * (c - 1) // 2
-            if budget < 0:
-                top -= 1
-                continue
-            b2 = 2 * c - 1
-            t = (np.int64(np.sqrt(float(b2 * b2 + 8 * budget))) - b2) // 2 + 2
-            while t * (t - 1) // 2 + c * t > budget:
-                t -= 1
-            while (t + 1) * t // 2 + c * (t + 1) <= budget:
-                t += 1
-            room = t if t < limit - i else limit - i
-            if c + room <= best:
-                top -= 1
-                continue
-            a = elems[i]
-            ok = True
-            for j in range(c):
-                if counts[a - chosen[j]] >= k:
-                    ok = False
-                    break
-            if ok:
-                new_limit = limit
-                new_last = eff_last
-                if c == 0 and symmetric:
-                    capv = lo0 + hi0 - a
-                    nl = 0
-                    for j in range(n):
-                        if elems[j] <= capv:
-                            nl = j + 1
-                        else:
-                            break
-                    new_limit = nl
-                    if nl > 0:
-                        new_last = elems[nl - 1]
-                for j in range(c):
-                    counts[a - chosen[j]] += 1
-                chosen[c] = a
-                c += 1
-                if c > best:
-                    best = c
-                    for j in range(c):
-                        best_set[j] = chosen[j]
-                stack_phase[top] = 1
-                stack_a[top] = a
-                top += 1
-                stack_i[top] = i + 1
-                stack_limit[top] = new_limit
-                stack_last[top] = new_last
-                stack_phase[top] = 0
-            else:
-                stack_phase[top] = 2
-                top += 1
-                stack_i[top] = i + 1
-                stack_limit[top] = limit
-                stack_last[top] = eff_last
-                stack_phase[top] = 0
-        return best, best_set
-
-    _JIT_KERNEL = kernel
-    return _JIT_KERNEL
+    chosen = _greedy(_Budget(A.ambient, mode, elems, k), order)
+    return GroundSet.from_iterable(A.ambient, [elems[j] for j in chosen])
 
 
 def sid_k_exact(A: GroundSet, k: int, mode: str = DIFFERENCE,
                 cap: int = 40) -> tuple[int, GroundSet]:
     """Exact maximum subset size under the multiplicity budget, plus one
-    witness, by depth-first branch and bound over the canonical inclusion
-    order.  Pruning: the multiplicity budget, the remaining-candidates
-    cutoff, and (integer difference mode) an elementary double-counting
-    capacity bound on the remaining window; warm-started from the
-    deterministic greedy pass."""
+    witness, by Russian-doll search (Verfaillie-Lemaitre-Schiex 1996;
+    Ostergard 2002's maximum-clique scheme).
+
+    Bounded multiplicity is hereditary, so with elems in canonical order
+    the maximum c[i] over the suffix elems[i:] bounds every completion
+    drawn from it.  The suffixes are solved from the back: c[i] is c[i+1]
+    or c[i+1] + 1, so the search for c[i] only asks for a subset of size
+    c[i+1] + 1 that contains elems[i], prunes a branch whose next
+    candidate j has |chosen| + c[j] <= c[i+1], and stops at the first such
+    subset.  Every ordered pair of A is composed once up front, so the
+    search itself only moves integer counters.  The canonical-order greedy
+    pass is the warm start: when its part inside a suffix already has
+    c[i+1] + 1 elements, that suffix is not searched."""
     if len(A) > cap:
         raise CapExceeded(f"|A| = {len(A)} exceeds the search cap {cap}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    amb = A.ambient
     elems = list(A.elements)
     n = len(elems)
-    warm = sid_k_greedy(A, k, mode, seed=None)
-    best = [len(warm), list(warm.elements)]
-    # flat difference-count arrays only pay off on moderate spans
-    if (n and mode == DIFFERENCE and amb.kind == INTEGERS
-            and elems[-1] - elems[0] < 10**7):
-        size, members = _sid_exact_integer_difference(A, k, best[1])
-        return size, GroundSet.from_iterable(amb, members)
-    chosen: list = []
-    counts: dict = {}
+    warm = _greedy(_Budget(A.ambient, mode, elems, k), range(n))
+    budget = _Budget(A.ambient, mode, elems, k)
+    rows = [list(budget.row(j, range(n)).values()) for j in range(n)]
+    insert, pop, chosen = budget.insert, budget.pop, budget.chosen
+    c = [0] * (n + 1)
+    best: list[int] = []
 
-    def dfs(i: int) -> None:
-        if len(chosen) + (n - i) <= best[0]:
-            return
-        a = elems[i]
-        delta = _insertion_deltas(amb, mode, a, chosen)
-        if all(counts.get(v, 0) + dv <= k for v, dv in delta.items()):
-            for v, dv in delta.items():
-                counts[v] = counts.get(v, 0) + dv
-            chosen.append(a)
-            if len(chosen) > best[0]:
-                best[0] = len(chosen)
-                best[1] = list(chosen)
-            if i + 1 < n:
-                dfs(i + 1)
-            chosen.pop()
-            for v, dv in delta.items():
-                counts[v] -= dv
-                if counts[v] == 0:
-                    del counts[v]
-        if i + 1 < n:
-            dfs(i + 1)
+    def extend(start: int, target: int) -> bool:
+        """Grow `chosen` from elems[start:] to target + 1 elements."""
+        size = len(chosen)
+        if size > target:
+            best[:] = chosen
+            return True
+        for j in range(start, n):
+            if size + c[j] <= target:
+                return False
+            row = rows[j]
+            if insert(j, row):
+                found = extend(j + 1, target)
+                pop(row)
+                if found:
+                    return True
+        return False
 
-    if n:
-        dfs(0)
-    return best[0], GroundSet.from_iterable(amb, best[1])
+    for i in range(n - 1, -1, -1):
+        tail = [j for j in warm if j >= i]
+        if len(tail) > c[i + 1]:
+            best[:] = tail
+            c[i] = len(tail)
+            continue
+        insert(i, rows[i])
+        c[i] = c[i + 1] + extend(i + 1, c[i + 1])
+        pop(rows[i])
+    return c[0], GroundSet.from_iterable(A.ambient, [elems[j] for j in best])
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +418,7 @@ def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
 
 def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, int]:
     """Delete elements until no value admits k pairwise-disjoint pairs."""
-    members = sorted(sample, key=_sort_key)
+    members = sorted(sample, key=value_sort_key)
     member_set = set(members)
     S = GroundSet.from_iterable(amb, members)
     counts = rep_histogram(S, S, mode).to_counts_dict()
@@ -610,7 +445,7 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
                 continue
             if disjoint_pairs(v) >= k:
                 if offender is None or c > counts[offender] or (
-                    c == counts[offender] and _sort_key(v) < _sort_key(offender)
+                    c == counts[offender] and value_sort_key(v) < value_sort_key(offender)
                 ):
                     offender = v
         if offender is None:
@@ -636,7 +471,7 @@ def _most_entangled(member_set: set, amb: AmbientSpec, mode: str, v):
                 part += 1
         else:
             part = 1 if _partner(amb, mode, v, x, member_set) else 0
-        if part > best_part or (part == best_part and _sort_key(x) < _sort_key(best)):
+        if part > best_part or (part == best_part and value_sort_key(x) < value_sort_key(best)):
             if part > 0:
                 best = x
                 best_part = part

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -173,6 +174,57 @@ def bfamily_shift_oracle_violation(S: GroundSet, k: int, g: int) -> bool:
         if intersection_size(S, shifts) >= k:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Bounded-multiplicity subset oracle, with its own composition arithmetic
+
+def oracle_compose(kind: str, modulus, mode: str, a, b):
+    """a o b written out from the definitions; no sidonkit code."""
+    if kind == "prime-square-plane":
+        sign = -1 if mode == "difference" else 1
+        return ((a[0] + sign * b[0]) % modulus, (a[1] + sign * b[1]) % modulus)
+    if mode == "difference":
+        v = a - b
+    elif mode == "sum":
+        v = a + b
+    elif mode == "product":
+        v = a * b
+    elif kind == "integers":
+        return Fraction(a, b)
+    else:
+        v = a * pow(b, -1, modulus)
+    return v if kind == "integers" else v % modulus
+
+
+def oracle_fits(kind: str, modulus, mode: str, subset, k: int) -> bool:
+    """Does every value other than the mode's identity (0 or (0, 0) for
+    differences, 1 for products and ratios, none for sums) arise from at
+    most k ordered pairs of `subset`?"""
+    if mode == "difference":
+        identity = (0, 0) if kind == "prime-square-plane" else 0
+    else:
+        identity = None if mode == "sum" else 1
+    seen: dict = {}
+    for a in subset:
+        for b in subset:
+            v = oracle_compose(kind, modulus, mode, a, b)
+            if v != identity:
+                seen[v] = seen.get(v, 0) + 1
+                if seen[v] > k:
+                    return False
+    return True
+
+
+def oracle_sid_k_max(kind: str, modulus, mode: str, elements, k: int) -> int:
+    """Largest subset that fits the budget k, by enumerating subsets from
+    the largest size down.  |elements| <= 14 or so."""
+    elements = list(elements)
+    for size in range(len(elements), 0, -1):
+        for subset in itertools.combinations(elements, size):
+            if oracle_fits(kind, modulus, mode, subset, k):
+                return size
+    return 0
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sidonkit import integer_range, integer_set, serialize_set
+from sidonkit import AmbientSpec, GroundSet, integer_range, integer_set, serialize_set
 from sidonkit.cli import main
 
 
@@ -60,6 +60,17 @@ def test_budget_exit_3(set_file, capsys):
     code, _, err = run_cli(["exact", "--set", path, "--k", "1", "--cap", "40"], capsys)
     assert code == 3
     assert "budget" in err
+
+
+def test_exact_witness_verifies(set_file, tmp_path, capsys):
+    Z31 = GroundSet.from_iterable(AmbientSpec.mod(31), range(31))
+    code, out, _ = run_cli(["exact", "--set", set_file(Z31), "--k", "1"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["size"] == 6
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(result["witness"]))
+    assert run_cli(["verify", "--set", str(witness), "--g", "1"], capsys)[0] == 0
 
 
 def test_reports_byte_identical(set_file, tmp_path, capsys):

@@ -369,6 +369,19 @@ def test_max_count_exclusions_match_dict_path(monkeypatch):
         assert fast.max_count(exclude) == slow.max_count(exclude), exclude
 
 
+def test_plane_exclusions_accept_lists(monkeypatch):
+    # a plane value given as a list is excluded like the tuple it stands for
+    P = GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (0, 1), (1, 0), (2, 2)])
+    _, fast, slow = _numpy_and_dict(monkeypatch, P, P, "difference")
+    for hist in (fast, slow):
+        for as_list, as_tuple in ((([0, 0],), ((0, 0),)), (([0, 0], [0, 1]), ((0, 0), (0, 1)))):
+            assert hist.max_count(as_list) == hist.max_count(as_tuple)
+            assert hist.count_multiset(as_list) == hist.count_multiset(as_tuple)
+            assert hist.energy(2, as_list) == hist.energy(2, as_tuple)
+        assert hist.count_multiset(([0, 0],)) != hist.count_multiset()
+        assert hist.energy(2, ([0, 0],)) == hist.energy(2) - 16  # r(0, 0) = 4
+
+
 def test_histogram_reuse_is_call_scoped():
     A = integer_range(0, 120)
     assert rep_histogram(A, A, "difference") is not rep_histogram(A, A, "difference")

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import bfamily_shift_oracle_violation, cayley_rectangle_found
+from conftest import (
+    bfamily_shift_oracle_violation,
+    cayley_rectangle_found,
+    oracle_fits,
+    oracle_sid_k_max,
+)
 from sidonkit import (
     AmbientSpec,
     BFamilyParams,
@@ -133,16 +138,75 @@ def test_greedy_is_maximal():
         A = integer_set(rng.sample(range(40), 14))
         out = sid_k_greedy(A, 2, seed=seed)
         # no rejected element can be added back
-        from sidonkit.sidon import _insertion_deltas
-        counts = {}
-        for i, a in enumerate(out.elements):
-            for v, d in _insertion_deltas(A.ambient, "difference", a, out.elements[:i]).items():
-                counts[v] = counts.get(v, 0) + d
         for a in A:
             if a in out.members:
                 continue
-            delta = _insertion_deltas(A.ambient, "difference", a, out.elements)
-            assert any(counts.get(v, 0) + d > 2 for v, d in delta.items())
+            assert verify_multiplicity(integer_set(out.elements + (a,)), 2) is not None
+
+
+def _oracle_corpus():
+    """(A, modes) pairs over all four ambients, with the 2-torsion of Z/8,
+    Z/16 and the plane over F_2 (where every nonzero x has x = -x)."""
+    rng = random.Random(2002)
+    out = []
+    for _ in range(4):
+        elems = rng.sample(range(-15, 40), rng.randint(9, 12))
+        out.append((integer_set(elems), ("difference", "sum", "product")))
+        out.append((integer_set([x for x in elems if x]), ("ratio",)))
+    out.append((GroundSet.from_iterable(AmbientSpec.mod(8), range(8)), ("difference", "sum")))
+    for _ in range(2):
+        out.append((GroundSet.from_iterable(AmbientSpec.mod(16), rng.sample(range(16), 12)),
+                    ("difference", "sum")))
+    F11, F13 = AmbientSpec.prime_field(11), AmbientSpec.prime_field(13)
+    out.append((GroundSet.from_iterable(F11, range(11)), ("difference", "sum", "product")))
+    out.append((GroundSet.from_iterable(F11, range(1, 11)), ("ratio",)))
+    out.append((GroundSet.from_iterable(F13, rng.sample(range(13), 12)),
+                ("difference", "sum", "product")))
+    out.append((GroundSet.from_iterable(F13, rng.sample(range(1, 13), 11)), ("ratio",)))
+    for p in (2, 3):
+        plane = [(x, y) for x in range(p) for y in range(p)]
+        out.append((GroundSet.from_iterable(AmbientSpec.plane(p), plane), ("difference", "sum")))
+    return out
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_sid_k_exact_matches_subset_oracle(k):
+    for A, modes in _oracle_corpus():
+        amb = A.ambient
+        for mode in modes:
+            size, witness = sid_k_exact(A, k, mode)
+            assert size == oracle_sid_k_max(amb.kind, amb.modulus, mode, A.elements, k), \
+                (A, mode, k)
+            assert len(witness) == size and witness.members <= A.members
+            assert oracle_fits(amb.kind, amb.modulus, mode, witness.elements, k)
+            greedy = sid_k_greedy(A, k, mode, seed=k)
+            assert len(greedy) <= size
+            assert oracle_fits(amb.kind, amb.modulus, mode, greedy.elements, k)
+
+
+# OEIS A003022: length of the shortest Golomb ruler with m = 1, 2, ... marks
+GOLOMB_LENGTHS = (0, 1, 3, 6, 11, 17, 25)
+
+
+def test_sid_k_exact_golomb_rulers():
+    for L in range(26):
+        expected = max(m for m, G in enumerate(GOLOMB_LENGTHS, 1) if G <= L)
+        if L <= 11:  # the table's small entries, re-derived by enumeration
+            assert oracle_sid_k_max("integers", None, "difference", range(L + 1), 1) == expected
+        assert sid_k_exact(integer_range(0, L + 1), 1)[0] == expected, L
+
+
+def test_ratio_mode_counts_ordered_pairs():
+    # a/b and b/a are different values, and 1 = a/a is the exempt identity
+    A = integer_set([1, 2, 3, 4, 6, 8, 12])
+    for k, expected in ((1, 4), (2, 5), (3, 6)):
+        assert oracle_sid_k_max("integers", None, "ratio", A.elements, k) == expected
+        size, witness = sid_k_exact(A, k, "ratio")
+        assert size == expected
+        assert verify_multiplicity(witness, k, "ratio") is None
+        greedy = sid_k_greedy(A, k, "ratio", seed=None)
+        assert verify_multiplicity(greedy, k, "ratio") is None
+        assert len(greedy) <= expected
 
 
 def test_extract_random_sidon_passthrough():
