@@ -258,11 +258,3 @@ def negate(ambient: AmbientSpec, x):
         return (-x) % ambient.modulus
     p = ambient.modulus
     return ((-x[0]) % p, (-x[1]) % p)
-
-
-def value_sort_key(v):
-    """Total order on histogram values: integers and Fractions interleave
-    numerically; coordinate pairs sort lexicographically."""
-    if isinstance(v, tuple):
-        return v
-    return (Fraction(v),)

@@ -19,7 +19,6 @@ from .ambient import (
     PRIME_FIELD,
     SUM,
     compose_value,
-    value_sort_key,
 )
 from .counting import difference_histogram, rep_histogram
 from .errors import CapExceeded, PreconditionFailed
@@ -249,8 +248,7 @@ def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int
     offset_ranges = []
     for i in range(1, l):
         opts = sorted({compose_value(amb, DIFFERENCE, b, y)
-                       for b in base for y in slices[i]} - {zero},
-                      key=value_sort_key)
+                       for b in base for y in slices[i]} - {zero})
         offset_ranges.append(opts)
     count = 1
     for opts in offset_ranges:

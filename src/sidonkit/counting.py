@@ -40,7 +40,6 @@ from .ambient import (
     canonical_element,
     compose_value,
     negate,
-    value_sort_key,
 )
 from .errors import AmbientMismatch, CapExceeded, DivisionByZero, UnsupportedMode
 from .groundset import GroundSet
@@ -118,7 +117,7 @@ class RepHistogram:
     def iter_items(self):
         """(value, count) pairs in canonical value order, lazily."""
         if self._dict is not None:
-            for v in sorted(self._dict, key=value_sort_key):
+            for v in sorted(self._dict):
                 yield v, self._dict[v]
         else:
             for raw, c in zip(self._vals.tolist(), self._cnts.tolist()):
@@ -139,9 +138,6 @@ class RepHistogram:
     @property
     def support_size(self) -> int:
         return len(self._dict) if self._dict is not None else int(self._vals.size)
-
-    def identity_value(self):
-        return self.ambient.identity(self.mode)
 
     def _excluded_counts(self, exclude_values) -> list[int]:
         return [c for v in exclude_values if (c := self.count(v)) > 0]
@@ -193,9 +189,7 @@ class RepHistogram:
             for v, c in self._dict.items():
                 if v in excl:
                     continue
-                if best is None or c > best[1] or (
-                    c == best[1] and value_sort_key(v) < value_sort_key(best[0])
-                ):
+                if best is None or c > best[1] or (c == best[1] and v < best[0]):
                     best = (v, c)
             return best
         cnts = self._cnts

@@ -22,7 +22,6 @@ from .ambient import (
     AmbientSpec,
     canonical_element,
     compose,
-    value_sort_key,
 )
 from .errors import (
     AmbientMismatch,
@@ -42,20 +41,18 @@ class GroundSet:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        prev = None
-        for x in self.elements:
-            canonical_element(self.ambient, x)
-            if prev is not None and value_sort_key(x) <= value_sort_key(prev):
-                raise NonCanonicalElement(
-                    "elements must be strictly sorted and distinct"
-                )
-            prev = x
+        elems = self.elements
+        for x in elems:
+            if canonical_element(self.ambient, x) != x:
+                raise NonCanonicalElement(f"element {x!r} is not in canonical form")
+        if any(y <= x for x, y in zip(elems, elems[1:])):
+            raise NonCanonicalElement("elements must be strictly sorted and distinct")
 
     @classmethod
     def from_iterable(cls, ambient: AmbientSpec, it, label: str | None = None) -> "GroundSet":
         """Canonicalize, dedupe, and sort an arbitrary iterable of elements."""
         canon = {canonical_element(ambient, x) for x in it}
-        return cls(ambient, tuple(sorted(canon, key=value_sort_key)), label)
+        return cls(ambient, tuple(sorted(canon)), label)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -241,7 +238,7 @@ def _finish_parse(ambient: AmbientSpec, raw, label, dedupe: bool) -> GroundSet:
         elems.append(elem)
     if dropped:
         warnings.warn(f"dropped {dropped} duplicate element(s)", stacklevel=2)
-    return GroundSet(ambient, tuple(sorted(elems, key=value_sort_key)), label)
+    return GroundSet(ambient, tuple(sorted(elems)), label)
 
 
 def parse_set(text: str, dedupe: bool = False) -> GroundSet:
@@ -260,11 +257,7 @@ def parse_set(text: str, dedupe: bool = False) -> GroundSet:
     ambient = AmbientSpec.from_dict(obj["ambient"])
     if not isinstance(obj["elements"], list):
         raise MalformedInput("'elements' must be a list")
-    raw = []
-    for elem in obj["elements"]:
-        if isinstance(elem, list):
-            elem = tuple(elem)
-        raw.append((None, elem))
+    raw = [(None, elem) for elem in obj["elements"]]
     label = obj.get("label")
     return _finish_parse(ambient, raw, label, dedupe)
 

@@ -24,7 +24,6 @@ from .ambient import (
     AmbientSpec,
     compose_value,
     negate,
-    value_sort_key,
 )
 from .counting import (
     difference_histogram,
@@ -147,8 +146,7 @@ def verify_bfamily(S: GroundSet, params: BFamilyParams, cap: int = 2_000_000):
                 break
         if translates is not None and len(translates) >= g + 1:
             zero = amb.identity(DIFFERENCE)
-            others = sorted((t for t in translates if t != zero),
-                            key=value_sort_key)[:g]
+            others = sorted(t for t in translates if t != zero)[:g]
             shifts = tuple(negate(amb, t) for t in others)
             return ViolationWitness(kind="intersection", mode=DIFFERENCE,
                                     shifts=shifts, elements=Y, k=k)
@@ -417,8 +415,9 @@ def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
 
 
 def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, int]:
-    """Delete elements until no value admits k pairwise-disjoint pairs."""
-    members = sorted(sample, key=value_sort_key)
+    """Delete elements until no value admits k pairwise-disjoint pairs.
+    `sample` is in canonical order, as drawn from A.elements."""
+    members = list(sample)
     member_set = set(members)
     S = GroundSet.from_iterable(amb, members)
     counts = rep_histogram(S, S, mode).to_counts_dict()
@@ -445,7 +444,7 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
                 continue
             if disjoint_pairs(v) >= k:
                 if offender is None or c > counts[offender] or (
-                    c == counts[offender] and value_sort_key(v) < value_sort_key(offender)
+                    c == counts[offender] and v < offender
                 ):
                     offender = v
         if offender is None:
@@ -471,7 +470,7 @@ def _most_entangled(member_set: set, amb: AmbientSpec, mode: str, v):
                 part += 1
         else:
             part = 1 if _partner(amb, mode, v, x, member_set) else 0
-        if part > best_part or (part == best_part and value_sort_key(x) < value_sort_key(best)):
+        if part > best_part or (part == best_part and x < best):
             if part > 0:
                 best = x
                 best_part = part

@@ -26,6 +26,7 @@ from .ambient import (
     canonical_element,
     compose_value,
 )
+from .bounds import ceil_sqrt, integer_kth_root
 from .counting import (
     difference_histogram,
     dyadic_best_level,
@@ -39,6 +40,7 @@ from .errors import EmptyCore, PreconditionFailed, UnsupportedMode
 from .groundset import GroundSet
 from .sidon import (
     ExtractionResult,
+    _jsonable,
     bound_holds,
     certified_bound,
     extract_random,
@@ -67,19 +69,8 @@ def ceil_power(n: int, expo: Fraction) -> int:
     """ceil(n ** expo) for n >= 1 and a nonnegative rational exponent."""
     num, den = expo.numerator, expo.denominator
     x = n**num
-    r = _iroot(x, den)
+    r = integer_kth_root(x, den)
     return r if r**den == x else r + 1
-
-
-def _iroot(x: int, r: int) -> int:
-    if x in (0, 1) or r == 1:
-        return x
-    guess = 1 << -(-x.bit_length() // r)
-    while True:
-        nxt = ((r - 1) * guess + x // guess ** (r - 1)) // r
-        if nxt >= guess:
-            return guess
-        guess = nxt
 
 
 def power_at_most(value: int, base: int, expo: Fraction) -> bool:
@@ -88,17 +79,12 @@ def power_at_most(value: int, base: int, expo: Fraction) -> bool:
     return value**den <= base**num
 
 
-def _jsonable(v):
-    return list(v) if isinstance(v, tuple) else v
-
-
 def _elements_list(elements) -> list:
     return [_jsonable(x) for x in elements]
 
 
 def _as_elements(ambient: AmbientSpec, raw) -> tuple:
-    return tuple(canonical_element(ambient, tuple(x) if isinstance(x, list) else x)
-                 for x in raw)
+    return tuple(canonical_element(ambient, x) for x in raw)
 
 
 @dataclass(frozen=True)
@@ -128,14 +114,19 @@ class StructureCertificate:
     def from_json_dict(cls, d: dict) -> "StructureCertificate":
         if d.get("kind") != "structure-certificate":
             raise ValueError("not a structure certificate")
-        return cls(
-            variant=d["variant"],
-            parameters=dict(d["parameters"]),
-            trace=tuple(dict(s) for s in d.get("trace", [])),
-            small=dict(d["small"]) if d.get("small") else None,
-            core=dict(d["core"]) if d.get("core") else None,
-            rigid=dict(d["rigid"]) if d.get("rigid") else None,
-        )
+        if d.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported certificate format {d.get('format_version')!r}")
+        try:
+            return cls(
+                variant=d["variant"],
+                parameters=dict(d["parameters"]),
+                trace=tuple(dict(s) for s in d.get("trace", [])),
+                small=dict(d["small"]) if d.get("small") else None,
+                core=dict(d["core"]) if d.get("core") else None,
+                rigid=dict(d["rigid"]) if d.get("rigid") else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed structure certificate: {exc!r}") from None
 
 
 def _energy_table(A: GroundSet, l_top: int) -> dict[int, int]:
@@ -413,11 +404,6 @@ class PipelineReport:
         }
 
 
-def _ceil_sqrt(x: int) -> int:
-    s = math.isqrt(x)
-    return s if s * s == x else s + 1
-
-
 @reuses_histograms
 def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
                          trials: int = 20, core_variant: str = "rigid",
@@ -438,7 +424,7 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
     eps = as_fraction(eps)
     params = {"delta": "1/4", "eps": str(eps), "seed": seed, "trials": trials,
               "core_variant": core_variant, "l_max": l_max}
-    target = _ceil_sqrt(len(A))
+    target = ceil_sqrt(len(A))
     if len(A) < 4:
         return PipelineReport("degenerate", None, A, None, sqrt_target=target,
                               degenerate=True, parameters=params)
@@ -496,153 +482,72 @@ def _kappa_table(core: GroundSet, l_max: int) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # Verification
 
+def _mismatches(expected: dict, stored, prefix: str = "") -> list[str]:
+    """Name each key of `expected` whose stored value differs, such as
+    `variant`; a missing key reads as None.  Where both sides hold a dict,
+    name its differing keys instead, such as `core.mass_total`, including
+    the keys `expected` lacks."""
+    stored = stored if isinstance(stored, dict) else {}
+    issues = []
+    for key, want in expected.items():
+        got = stored.get(key)
+        if got == want:
+            continue
+        if isinstance(want, dict) and isinstance(got, dict):
+            issues += _mismatches(want, got, f"{prefix}{key}.")
+            issues += [f"{prefix}{key}.{k} is not derived" for k in got if k not in want]
+        else:
+            issues.append(f"{prefix}{key} does not recompute")
+    return issues
+
+
+def _translates_disjoint(amb: AmbientSpec, H, Z) -> bool:
+    """Are the translates H + z, z in Z, pairwise disjoint?"""
+    H = _as_elements(amb, H)
+    covered: set = set()
+    for z in _as_elements(amb, Z):
+        translate = {compose_value(amb, SUM, h, z) for h in H}
+        if not covered.isdisjoint(translate):
+            return False
+        covered |= translate
+    return True
+
+
 @reuses_histograms
 def verify_certificate(A: GroundSet, cert: StructureCertificate) -> list[str]:
-    """Recompute every stored statistic from (A, certificate); returns the
-    list of mismatches (empty = certificate verifies)."""
-    issues: list[str] = []
+    """A certificate is valid only when it matches, field for field, the
+    certificate derived from A with its own delta and eps.  Returns the
+    mismatches, one for each differing key one level deep; an empty list
+    means the certificate verifies.
+
+    The derivation is the producer itself (`energy_gap_decompose`, then
+    `rigid_structure` for a rigid certificate).  Two stated guarantees are
+    then checked by code far simpler than the derivation: the core holds
+    at least half of the translate mass, and the translates H + z are
+    pairwise disjoint.  Unreadable parameters, and parameters or sets the
+    producer refuses, come back as mismatches.
+    """
     try:
-        delta = Fraction(cert.parameters["delta"])
-        eps = Fraction(cert.parameters["eps"])
-    except (KeyError, ValueError) as exc:
-        return [f"unreadable parameters: {exc}"]
-    n = len(A)
-    if cert.parameters.get("set_size") != n:
-        issues.append(f"set_size {cert.parameters.get('set_size')} != |A| = {n}")
-    M = ceil_power(n, eps / 2) if n else 0
-    if cert.parameters.get("M") != M:
-        issues.append(f"M {cert.parameters.get('M')} != recomputed {M}")
-    l_max = math.ceil(Fraction(2) / eps) + 2
-    if cert.parameters.get("l_max") != l_max:
-        issues.append(f"l_max {cert.parameters.get('l_max')} != recomputed {l_max}")
-    if len(cert.trace) > l_max - 1:
-        issues.append(f"trace length {len(cert.trace)} exceeds the loop bound")
-    energies = _energy_table(A, l_max + 1) if n else {}
-    for step in cert.trace:
-        l = step["l"]
-        e_l, e_next = energies[l], energies[l + 1]
-        if step["energy"] != e_l or step["energy_next"] != e_next:
-            issues.append(f"trace energies at l={l} do not recompute")
-        if step["kappa"] != kappa_of(e_l, n, l):
-            issues.append(f"trace kappa at l={l} does not recompute")
-        if step["fired"] != (not step["small"] and M * e_next >= n * e_l):
-            issues.append(f"trace fired flag at l={l} does not recompute")
-        if step["small"] != power_at_most(e_l, n, l + delta):
-            issues.append(f"trace small flag at l={l} does not recompute")
-    if cert.variant == SMALL_ENERGY:
-        issues += _verify_small(cert, energies, n, delta)
-    elif cert.variant in (POPULAR_CORE, RIGID_STRUCTURE):
-        issues += _verify_core(A, cert, energies, M, n)
+        delta = as_fraction(cert.parameters["delta"])
+        eps = as_fraction(cert.parameters["eps"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return [f"unreadable parameters: {exc!r}"]
+    try:
+        derived = energy_gap_decompose(A, delta, eps)
         if cert.variant == RIGID_STRUCTURE:
-            issues += _verify_rigid(A, cert, M, n)
-    else:
-        issues.append(f"unknown variant {cert.variant!r}")
-    return issues
-
-
-def _verify_small(cert: StructureCertificate, energies: dict, n: int,
-                  delta: Fraction) -> list[str]:
-    issues = []
-    small = cert.small or {}
-    k = small.get("k")
-    if k not in energies:
-        return [f"small-energy order k={k!r} out of range"]
-    e_k = energies[k]
-    if small.get("energy") != e_k:
-        issues.append(f"E_{k} = {e_k} != stored {small.get('energy')}")
-    if small.get("below_threshold") != power_at_most(e_k, n, k + delta):
-        issues.append("below_threshold flag does not recompute")
-    if small.get("kappa") != kappa_of(e_k, n, k):
-        issues.append("small-energy kappa does not recompute")
-    return issues
-
-
-def _verify_core(A: GroundSet, cert: StructureCertificate, energies: dict,
-                 M: int, n: int) -> list[str]:
-    issues = []
-    core_data = cert.core or {}
-    amb = A.ambient
-    l = core_data.get("l")
-    if not isinstance(l, int) or l + 1 not in energies:
-        return [f"core level l={l!r} out of range"]
-    if M * energies[l + 1] < n * energies[l]:
-        issues.append(f"ratio condition did not fire at stored l={l}")
-    delta_class, P = dyadic_best_level(A, l)
-    if delta_class != core_data.get("delta_class"):
-        issues.append(f"dyadic class {core_data.get('delta_class')} != recomputed {delta_class}")
-    if _as_elements(amb, core_data.get("band", ())) != P.elements:
-        issues.append("dyadic band does not recompute")
+            derived = rigid_structure(A, delta, eps, certificate=derived)
+    except (PreconditionFailed, EmptyCore) as exc:
+        return [f"no certificate derives from A and these parameters: {exc}"]
+    # a payload the derivation leaves out must be absent from the certificate
+    expected = {"small": None, "core": None, "rigid": None, **derived.to_json_dict()}
+    issues = _mismatches(expected, cert.to_json_dict())
+    if issues or cert.core is None:
         return issues
-    masses = _masses(A, P)
-    mass_total = sum(masses.values())
-    if mass_total != core_data.get("mass_total"):
-        issues.append(f"mass total {core_data.get('mass_total')} != recomputed {mass_total}")
-    theta = Fraction(mass_total, 2 * n)
-    if str(theta) != core_data.get("theta"):
-        issues.append("theta does not recompute")
-    core_elems = _as_elements(amb, core_data.get("core", ()))
-    recomputed = tuple(a for a in A if 2 * n * masses[a] >= mass_total)
-    if core_elems != recomputed:
-        issues.append("core element set does not recompute")
-        return issues
-    core_mass = sum(masses[a] for a in core_elems)
-    if core_mass != core_data.get("core_mass"):
-        issues.append("core mass does not recompute")
-    if core_elems and min(masses[a] for a in core_elems) != core_data.get("min_core_mass"):
-        issues.append("minimum core mass does not recompute")
-    if 2 * core_mass < mass_total:
+    if 2 * cert.core["core_mass"] < cert.core["mass_total"]:
         issues.append("half-mass property fails")
-    return issues
-
-
-def _verify_rigid(A: GroundSet, cert: StructureCertificate, M: int, n: int) -> list[str]:
-    issues = []
-    rigid = cert.rigid or {}
-    amb = A.ambient
-    P = GroundSet.from_iterable(amb, _as_elements(amb, (cert.core or {}).get("band", ())))
-    if len(P) < 2:
-        return ["rigid variant with a degenerate band"]
-    if str(Fraction(len(P), 4 * M * M)) != rigid.get("edge_threshold"):
-        issues.append("edge threshold does not recompute")
-    good = _popularity_edges(P, M)
-    center, _ = _max_degree_vertex(P, good)
-    stored_center = rigid.get("center")
-    stored_center = tuple(stored_center) if isinstance(stored_center, list) else stored_center
-    if center != stored_center:
-        issues.append(f"max-degree center {stored_center!r} != recomputed {center!r}")
-    H = GroundSet.from_iterable(
-        amb, [center] + [q for q in P.elements
-                         if q != center and compose_value(amb, DIFFERENCE, center, q) in good])
-    if _as_elements(amb, rigid.get("H", ())) != H.elements:
-        issues.append("H does not recompute")
-        return issues
-    masses = _masses(A, H)
-    mass_total = sum(masses.values())
-    if mass_total != rigid.get("mass_total_H"):
-        issues.append("H mass total does not recompute")
-    if str(Fraction(mass_total, 2 * n)) != rigid.get("theta_H"):
-        issues.append("theta_H does not recompute")
-    W = [a for a in A if 2 * n * masses[a] >= mass_total]
-    if len(W) != rigid.get("W_size"):
-        issues.append("W size does not recompute")
-    Z_stored = _as_elements(amb, rigid.get("Z", ()))
-    Z = _greedy_disjoint_translates(W, H)
-    if tuple(Z) != Z_stored:
-        issues.append("Z does not recompute")
-        return issues
-    seen: set = set()
-    for z in Z:
-        translate = {compose_value(amb, SUM, h, z) for h in H}
-        if seen & translate:
-            issues.append("translates of H are not pairwise disjoint")
-            break
-        seen |= translate
-    if rigid.get("doubling") != str(Fraction(rep_histogram(H, H, SUM).support_size, len(H))):
-        issues.append("doubling does not recompute")
-    if rigid.get("zh_product") != len(Z) * len(H):
-        issues.append("|Z||H| does not recompute")
-    if rigid.get("covered_mass") != sum(masses[z] for z in Z):
-        issues.append("covered mass does not recompute")
+    if cert.rigid is not None and not _translates_disjoint(A.ambient, cert.rigid["H"],
+                                                           cert.rigid["Z"]):
+        issues.append("translates of H are not pairwise disjoint")
     return issues
 
 
@@ -680,7 +585,7 @@ def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
             and core_variant in ("rigid", "popular")):
         return issues + ["parameters out of range"]
     n = len(A)
-    target = _ceil_sqrt(n)
+    target = ceil_sqrt(n)
     expected = {
         "format_version": FORMAT_VERSION, "kind": "pipeline-report",
         "parameters": {"delta": "1/4", "eps": str(eps), "seed": seed, "trials": trials,
@@ -699,8 +604,8 @@ def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
             return issues + ["missing certificate"]
         try:
             cert = StructureCertificate.from_json_dict(cert_dict)
-        except (KeyError, TypeError, ValueError) as exc:
-            return issues + [f"unreadable certificate: {exc!r}"]
+        except ValueError as exc:
+            return issues + [f"unreadable certificate: {exc}"]
         cert_issues = verify_certificate(A, cert)
         if cert_issues:
             return issues + cert_issues
@@ -728,9 +633,7 @@ def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
                 expected.update(kappa_table={str(l): v for l, v in kappa_table.items()},
                                 chosen_l=k)
                 mode = PRODUCT
-    for key, value in expected.items():
-        if report_dict.get(key) != value:
-            issues.append(f"{key} does not recompute")
+    issues += _mismatches(expected, report_dict)
     if mode is None:
         if subset != source:
             issues.append("subset is not the whole input of a run without extraction")
@@ -763,9 +666,7 @@ def _verify_extraction(source: GroundSet, k: int, mode: str, seed: int, trials: 
                 and best == (sizes.index(max(sizes)) if sizes else None)
                 and len(subset) == (max(sizes) if sizes else 0)):
             issues.append("trial_sizes and best_trial are inconsistent with the subset")
-    for key, value in expected.items():
-        if ext.get(key) != value:
-            issues.append(f"extraction {key} does not recompute")
+    issues += _mismatches(expected, ext, "extraction.")
     if not subset.members <= source.members:
         issues.append("subset is not contained in the extraction input")
     if not bound_holds(subset, mode, bound):

@@ -1,9 +1,9 @@
 """Shared corpus builders and independent oracles.
 
-The oracles deliberately avoid the library's sparse-histogram machinery:
-they enumerate tuples (with equality/distinctness pruning) over explicit
-pair lists grouped by sorting, so agreement with the library is a genuine
-dual-route check.
+The oracles share no code with the library: they compose elements with
+their own arithmetic (`oracle_compose`) and enumerate tuples (with
+equality/distinctness pruning) over explicit pair lists grouped by
+sorting, so agreement with the library is a genuine dual-route check.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ def mixed_corpus(seed: int, count: int, max_size: int = 10) -> list[GroundSet]:
 # Energy oracles
 
 def _compose_fn(ambient: AmbientSpec, mode: str):
-    from sidonkit import compose_value
-    return lambda a, b: compose_value(ambient, mode, a, b)
+    return lambda a, b: oracle_compose(ambient.kind, ambient.modulus, mode, a, b)
 
 
 def oracle_energy_full(A: GroundSet, k: int, mode: str = "difference") -> int:
@@ -72,8 +71,7 @@ def oracle_energy_full(A: GroundSet, k: int, mode: str = "difference") -> int:
 
 def _sorted_groups(values: list) -> list[int]:
     """Run lengths of equal values after sorting (no hashing involved)."""
-    from sidonkit.ambient import value_sort_key
-    ordered = sorted(values, key=value_sort_key)
+    ordered = sorted(values)
     groups = []
     run = 0
     prev = object()
@@ -106,18 +104,17 @@ def oracle_energy_grouped(A: GroundSet, k: int, mode: str = "difference") -> int
 def oracle_energy_prime(A: GroundSet, k: int) -> int:
     """Distinct-entry tuple enumeration: ordered k-tuples of index pairs
     with one common difference and all 2k indices distinct."""
-    from sidonkit.ambient import value_sort_key
     comp = _compose_fn(A.ambient, "difference")
     elems = A.elements
     n = len(elems)
-    zero = A.ambient.identity("difference")
+    zero = (0, 0) if A.ambient.kind == "prime-square-plane" else 0
     tagged = []
     for i in range(n):
         for j in range(n):
             if i != j:
                 d = comp(elems[i], elems[j])
                 if d != zero:
-                    tagged.append((value_sort_key(d), i, j))
+                    tagged.append((d, i, j))
     tagged.sort(key=lambda t: t[0])
     total = 0
     start = 0
@@ -166,12 +163,13 @@ def cayley_rectangle_found(S: GroundSet, k: int, g: int) -> bool:
 def bfamily_shift_oracle_violation(S: GroundSet, k: int, g: int) -> bool:
     """Definitional check: some g distinct nonzero shifts whose common
     intersection with S has at least k elements.  Tiny supports only."""
-    from sidonkit import intersection_size
-    from sidonkit.counting import difference_histogram
-    zero = S.ambient.identity("difference")
-    support = [v for v in difference_histogram(S).values() if v != zero]
+    comp = _compose_fn(S.ambient, "difference")
+    elems = S.elements
+    zero = (0, 0) if S.ambient.kind == "prime-square-plane" else 0
+    support = sorted({comp(a, b) for a in elems for b in elems} - {zero})
     for shifts in itertools.combinations(support, g):
-        if intersection_size(S, shifts) >= k:
+        common = [x for x in elems if all(comp(x, s) in elems for s in shifts)]
+        if len(common) >= k:
             return True
     return False
 

@@ -105,6 +105,22 @@ def test_decompose_then_verify_certificate(set_file, tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_certificate_unreadable_eps_reported(set_file, tmp_path, capsys):
+    path = set_file(integer_range(0, 64))
+    cert_path = tmp_path / "cert.json"
+    assert main(["decompose", "--set", path, "--delta", "1/2", "--eps", "1/4",
+                 "--out", str(cert_path)]) == 0
+    blob = json.loads(cert_path.read_text())
+    blob["result"]["parameters"]["eps"] = "0"
+    cert_path.write_text(json.dumps(blob))
+    code, out, err = run_cli(["verify-certificate", "--set", path, "--cert", str(cert_path)],
+                             capsys)
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert not result["ok"] and result["mismatches"]
+    assert "Traceback" not in err
+
+
 def test_pipeline_cli_and_verify(set_file, tmp_path, capsys):
     path = set_file(integer_range(1, 129))
     rep_path = tmp_path / "pipe.json"

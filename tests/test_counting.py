@@ -137,6 +137,26 @@ def test_energy_prime_modular_cycles():
             assert energy_prime_k(A, k) == oracle_energy_prime(A, k)
 
 
+def test_energies_two_torsion_corpus():
+    """energy_k (difference and sum) and energy_prime_k against the tuple
+    oracles in ambients with x = -x for some x != 0 (Z/8, Z/16, the plane
+    over F_2) and in the plane over F_3; each whole group is included."""
+    rng = random.Random(29)
+    for amb, pool in ((AmbientSpec.mod(8), list(range(8))),
+                      (AmbientSpec.mod(16), list(range(16))),
+                      (AmbientSpec.plane(2), [(a, b) for a in range(2) for b in range(2)]),
+                      (AmbientSpec.plane(3), [(a, b) for a in range(3) for b in range(3)])):
+        sets = [GroundSet.from_iterable(amb, pool)] + [
+            GroundSet.from_iterable(amb, rng.sample(pool, rng.randint(1, min(len(pool), 9))))
+            for _ in range(12)]
+        for A in sets:
+            for k in (1, 2, 3):
+                for mode in ("difference", "sum"):
+                    assert energy_k(A, k, mode).value == oracle_energy_grouped(A, k, mode), \
+                        (amb, A.elements, k, mode)
+                assert energy_prime_k(A, k) == oracle_energy_prime(A, k), (amb, A.elements, k)
+
+
 def test_energy_prime_weak_reading_flag():
     A = integer_set([0, 1, 2, 3])
     weak = energy_prime_k(A, 2, within_pairs_only=True)

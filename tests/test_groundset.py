@@ -147,6 +147,17 @@ def test_sorted_distinct_enforced():
         GroundSet(AmbientSpec.integers(), (1, 1))
 
 
+def test_plane_pairs_as_lists_rejected():
+    # the constructor takes canonical elements only; from_iterable converts
+    plane = AmbientSpec.plane(3)
+    for elements in (([0, 1],), ([0, 1], [1, 2]), ((0, 1), [1, 2])):
+        with pytest.raises(NonCanonicalElement):
+            GroundSet(plane, elements)
+    assert GroundSet.from_iterable(plane, [[1, 2], [0, 1]]).elements == ((0, 1), (1, 2))
+    with pytest.raises(NonCanonicalElement):
+        GroundSet(plane, ((1, 0), (0, 2)))
+
+
 def test_serialize_is_json():
     A = integer_range(0, 4)
     obj = json.loads(serialize_set(A))

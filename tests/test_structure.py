@@ -23,6 +23,7 @@ from sidonkit import (
     verify_multiplicity,
     verify_pipeline_report,
 )
+from sidonkit.counting import kappa_of
 from sidonkit.structure import _max_degree_vertex, ceil_power, power_at_most
 
 
@@ -152,6 +153,104 @@ def test_certificate_tampering_detected():
     d4 = rigid.to_json_dict()
     d4["rigid"]["covered_mass"] -= 1
     assert verify_certificate(A, StructureCertificate.from_json_dict(d4)) != []
+
+
+def _two_step_set():
+    """Three spread translates of a Sidon set: with delta = eps = 1/8 the
+    decomposition passes l = 2 and fires at l = 3."""
+    B = [0, 1, 4, 9, 23, 45, 87, 133, 210, 301, 412, 555]
+    return integer_set(b + 10**4 * i for b in B for i in range(3))
+
+
+def _certificates():
+    """(A, certificate JSON) for a bare small-energy, a two-step
+    popular-core and a rigid certificate."""
+    rng = random.Random(1)
+    spread = integer_set(rng.sample(range(10**6), 64))
+    two_step = _two_step_set()
+    interval = integer_range(0, 64)
+    return {
+        "small": (spread, energy_gap_decompose(spread, Fraction(1, 2), Fraction(1, 4))),
+        "core": (two_step, energy_gap_decompose(two_step, Fraction(1, 8), Fraction(1, 8))),
+        "rigid": (interval, rigid_structure(interval, Fraction(1, 2), Fraction(1, 4))),
+    }
+
+
+def _leaf_tampers(node, path=()):
+    """(path, new value) for every leaf of a JSON tree, one at a time:
+    numbers grow, flags flip, strings and element lists change."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_tampers(value, path + (key,))
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        for i, value in enumerate(node):
+            yield from _leaf_tampers(value, path + (i,))
+    elif isinstance(node, bool):
+        yield path, not node
+    elif isinstance(node, (int, float)):
+        yield path, node * 2 + 1
+    elif isinstance(node, str):
+        yield path, node + "0"
+    elif isinstance(node, list):
+        yield path, node[:-1] if node else [0]
+    else:
+        yield path, 0
+
+
+def _tampered(d, path, value):
+    copy = json.loads(json.dumps(d))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return copy
+
+
+def test_certificate_every_leaf_tamper_detected():
+    for name, (A, cert) in _certificates().items():
+        d = cert.to_json_dict()
+        assert verify_certificate(A, StructureCertificate.from_json_dict(d)) == [], name
+        leaves = list(_leaf_tampers(d))
+        assert len(leaves) >= 10, name
+        for path, value in leaves:
+            copy = _tampered(d, path, value)
+            assert copy != d, (name, path)
+            if path in (("format_version",), ("kind",)):
+                with pytest.raises(ValueError):
+                    StructureCertificate.from_json_dict(copy)
+                continue
+            issues = verify_certificate(A, StructureCertificate.from_json_dict(copy))
+            assert isinstance(issues, list) and issues, (name, path)
+
+
+def test_certificate_structural_tampers_detected():
+    certs = _certificates()
+    A_core, core = certs["core"]
+    assert core.variant == "popular-core" and len(core.trace) == 2
+    A_small = integer_set(random.Random(1).sample(range(10**6), 64))
+    small = energy_gap_decompose(A_small, Fraction(1, 4), Fraction(1, 16))
+    assert small.variant == "small-energy" and small.small["k"] == 2
+    assert small.parameters["l_max"] == 34
+
+    cases = [(A_core, core, lambda d: d.update(trace=d["trace"][1:])),
+             (A_core, core, lambda d: d.update(trace=[]))]
+    for A, cert in certs.values():
+        cases += [(A, cert, lambda d: d["parameters"].update(delta="0")),
+                  (A, cert, lambda d: d["parameters"].update(eps="0")),
+                  (A, cert, lambda d: d["trace"][0].update(l=99)),
+                  (A, cert, lambda d: d["trace"][0].pop("kappa"))]
+    n = len(A_small)
+    for k in range(3, 35):  # move small.k, with that order's fields filled in
+        e_k = energy_k(A_small, k).value
+        fields = {"k": k, "energy": e_k, "kappa": kappa_of(e_k, n, k),
+                  "below_threshold": power_at_most(e_k, n, k + Fraction(1, 4))}
+        cases.append((A_small, small, lambda d, fields=fields: d["small"].update(fields)))
+    for i, (A, cert, tamper) in enumerate(cases):
+        d = cert.to_json_dict()
+        tamper(d)
+        assert d != cert.to_json_dict(), i
+        issues = verify_certificate(A, StructureCertificate.from_json_dict(d))
+        assert isinstance(issues, list) and issues, i
 
 
 def test_pipeline_degenerate():
