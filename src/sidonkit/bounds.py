@@ -110,12 +110,10 @@ def sumset_sidon_upper(B: GroundSet, C: GroundSet, k: int, sigma: int = 1,
     measured = None
     verdict = "not-compared"
     if A is not None:
-        hist = rep_histogram(B, C, SUM)
-        for a in A:
-            if hist.count(a) < sigma:
-                raise PreconditionFailed(
-                    f"r_(B+C)({a!r}) = {hist.count(a)} < sigma = {sigma}", witness=a
-                )
+        counts = rep_histogram(B, C, SUM).counts(A.elements).tolist()
+        for a, c in zip(A, counts):
+            if c < sigma:
+                raise PreconditionFailed(f"r_(B+C)({a!r}) = {c} < sigma = {sigma}", witness=a)
         details["sigma_hypothesis"] = "verified"
         if len(A) <= exact_cap:
             measured, _ = sid_k_exact(A, k, DIFFERENCE, cap=exact_cap)
@@ -142,8 +140,8 @@ def diffset_bounds(A: GroundSet, k: int, exact_cap: int = 0) -> BoundReport:
     S = set_compose(A, A, SUM)
     hdd = rep_histogram(D, D, DIFFERENCE)
     hds = rep_histogram(D, S, SUM)
-    diff_fact = min(hdd.count(d) for d in D)
-    sum_fact = min(hds.count(s) for s in S)
+    diff_fact = int(hdd.counts(D.elements).min())
+    sum_fact = int(hds.counts(S.elements).min())
     cover = n * sqrt_upper(k * n) + n
     sigma_d = (len(D) * sqrt_upper(k * len(D)) + len(D)) / n
     sigma_s = min(len(S) * sqrt_upper(k * len(D)) + len(D),

@@ -57,6 +57,7 @@ from .sidon import (
 )
 from .structure import (
     StructureCertificate,
+    as_fraction,
     energy_gap_decompose,
     popular_symmetry_set,
     rigid_structure,
@@ -78,7 +79,7 @@ def _mode(name: str) -> str:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 

@@ -79,40 +79,53 @@ class RepHistogram:
 
     # -- encoding helpers for the array backing ---------------------------
     def _encode(self, value):
+        """The array backing's int64 code of a value, or None when the
+        backing cannot hold it (wrong type, off the plane, or outside int64)."""
         if self._plane_modulus is not None:
-            if isinstance(value, list):
-                value = tuple(value)
-            if not isinstance(value, tuple):
+            p = self._plane_modulus
+            if not (isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(isinstance(c, int) and 0 <= c < p for c in value)):
                 return None
-            return value[0] * self._plane_modulus + value[1]
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return int(value)
-        return None
+            code = value[0] * p + value[1]
+        elif isinstance(value, int) and not isinstance(value, bool):
+            code = value
+        elif isinstance(value, Fraction) and value.denominator == 1:
+            code = int(value)
+        else:
+            return None
+        return code if -2**63 <= code < 2**63 else None
 
     def _decode(self, raw: int):
         if self._plane_modulus is not None:
             return (raw // self._plane_modulus, raw % self._plane_modulus)
         return raw
 
-    def _position(self, value) -> int | None:
-        """Index of value in the array backing, or None when absent."""
-        enc = self._encode(value)
-        if enc is None:
-            return None
-        pos = int(np.searchsorted(self._vals, enc))
-        if pos < self._vals.size and int(self._vals[pos]) == enc:
-            return pos
-        return None
+    def _positions(self, values) -> np.ndarray:
+        """Index of each value in the array backing, -1 where absent, from
+        one searchsorted."""
+        raw = [self._encode(v) for v in values]
+        codes = np.array([r or 0 for r in raw], dtype=np.int64)
+        pos = np.searchsorted(self._vals, codes)
+        found = pos < self._vals.size
+        found[found] = self._vals[pos[found]] == codes[found]
+        found[[i for i, r in enumerate(raw) if r is None]] = False
+        return np.where(found, pos, -1)
+
+    def counts(self, values) -> np.ndarray:
+        """Counts of many values, in input order, as an int64 array; an
+        absent value counts 0.  The array backing answers with one
+        searchsorted."""
+        if self._dict is not None:
+            get = self._dict.get
+            return np.array([get(_hashable(v), 0) for v in values], dtype=np.int64)
+        pos = self._positions(values)
+        found = pos >= 0
+        out = np.zeros(pos.size, dtype=np.int64)
+        out[found] = self._cnts[pos[found]]
+        return out
 
     def count(self, value) -> int:
-        if isinstance(value, list):
-            value = tuple(value)
-        if self._dict is not None:
-            return self._dict.get(value, 0)
-        pos = self._position(value)
-        return 0 if pos is None else int(self._cnts[pos])
+        return int(self.counts([value])[0])
 
     def iter_items(self):
         """(value, count) pairs in canonical value order, lazily."""
@@ -194,11 +207,9 @@ class RepHistogram:
             return best
         cnts = self._cnts
         if excl:
+            pos = self._positions(list(excl))
             cnts = cnts.copy()
-            for v in excl:
-                pos = self._position(v)
-                if pos is not None:
-                    cnts[pos] = 0
+            cnts[pos[pos >= 0]] = 0
         if not cnts.size:
             return None
         idx = int(np.argmax(cnts))  # first max = smallest value
@@ -413,7 +424,8 @@ def _path_matchings(m: int, kmax: int) -> list[int]:
 
 
 def _cycle_matchings(m: int, kmax: int) -> list[int]:
-    """Same for a cycle with m edges (m >= 3)."""
+    """Same for a cycle with m >= 2 edges; a 2-cycle x -> x+d -> x has two
+    parallel edges."""
     return [1] + [_comb0(m - j, j) + _comb0(m - j - 1, j - 1) for j in range(1, kmax + 1)]
 
 
@@ -429,47 +441,111 @@ def _poly_mul(a: list[int], b: list[int], kmax: int) -> list[int]:
     return out
 
 
-def _pair_components(members: frozenset, amb: AmbientSpec, d) -> list[tuple[str, int]]:
-    """Decompose the pair graph x -> x + d on `members` into paths and
-    cycles, returning (kind, edge_count) per component."""
-    step = lambda x: compose_value(amb, SUM, x, d)
-    back = negate(amb, d)
-    stepb = lambda x: compose_value(amb, SUM, x, back)
-    comps = []
-    visited = set()
-    for x in members:
-        if x in visited or step(x) not in members:
-            continue
-        # walk backwards to the chain start (or detect a cycle)
-        start = x
-        is_cycle = False
-        y = stepb(start)
-        while y in members:
-            if y == x:
-                is_cycle = True
-                break
-            start = y
-            y = stepb(start)
-        edges = 0
-        cur = start
-        while cur not in visited and step(cur) in members:
-            visited.add(cur)
-            edges += 1
-            cur = step(cur)
-            if is_cycle and cur == start:
-                break
-        if edges:
-            comps.append(("cycle" if is_cycle else "path", edges))
-    return comps
+def _poly_pow(a: list[int], e: int, kmax: int) -> list[int]:
+    """a ** e truncated at degree kmax, by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_mul(out, a, kmax)
+        e >>= 1
+        if e:
+            a = _poly_mul(a, a, kmax)
+    return out
+
+
+# Exclusive bound on |x| for int64 chain steps over the integers: with
+# d = x - x', |x + d| < 3 * 2^61 < 2^63.
+_INT64_CHAIN_BOUND = 2**61
+
+
+def _element_codes(amb: AmbientSpec, elements) -> np.ndarray:
+    """Canonical sorted elements as a sorted array, plane pairs coded as
+    x * p + y: int64 when every step x -> x + d between them provably stays
+    inside int64, Python ints (dtype=object) otherwise."""
+    if amb.kind == PLANE:
+        p = amb.modulus
+        codes = [x * p + y for x, y in elements]
+        fits = p <= 2**31
+    elif amb.kind == INTEGERS:
+        codes = list(elements)
+        fits = not codes or max(-codes[0], codes[-1]) < _INT64_CHAIN_BOUND
+    else:
+        codes = list(elements)
+        fits = amb.modulus <= 2**62  # x + d < 2N
+    return np.array(codes, dtype=np.int64 if fits else object)
+
+
+def _step(codes: np.ndarray, amb: AmbientSpec, d) -> np.ndarray:
+    """Codes of x + d for every coded element x."""
+    if amb.kind == INTEGERS:
+        return codes + d
+    if amb.kind == PLANE:
+        p = amb.modulus
+        return (codes // p + d[0]) % p * p + (codes % p + d[1]) % p
+    return (codes + d) % amb.modulus
+
+
+def _orbit_length(amb: AmbientSpec, d) -> int:
+    """Additive order of d != 0 in a finite ambient: N / gcd(d, N) in Z/N,
+    p in F_p and in the plane over F_p."""
+    if amb.kind == MOD_N:
+        return amb.modulus // math.gcd(d, amb.modulus)
+    return amb.modulus
+
+
+def _chains(codes: np.ndarray, amb: AmbientSpec, d) -> tuple[np.ndarray, int, int]:
+    """Split the pair graph x -> x + d (d != 0) on the coded set into paths
+    and cycles, as +d is injective: returns the edge count of every path,
+    and the edge count and number of the cycles.  Each cycle is a whole
+    orbit of +d, so every cycle has ord(d) edges.
+
+    One searchsorted finds every successor; path lengths come from pointer
+    doubling (list ranking) from each path's first node, with index n as
+    the sentinel that ends every path, in enough rounds to cover the
+    longest possible path.  The edges on no path lie on cycles."""
+    n = codes.size
+    succ = _step(codes, amb, d)
+    pos = np.searchsorted(codes, succ)
+    has = pos < n
+    has[has] = codes[pos[has]] == succ[has]
+    jump = np.append(np.where(has, pos, n), n)
+    dist = np.append(has.astype(np.int64), 0)
+    edges = int(np.count_nonzero(has))
+    for _ in range(edges.bit_length()):
+        dist += dist[jump]
+        jump = jump[jump]
+    has_pred = np.zeros(n, dtype=bool)
+    has_pred[pos[has]] = True
+    paths = dist[:n][has & ~has_pred]
+    cycle_edges = edges - int(paths.sum())
+    if not cycle_edges:
+        return paths, 0, 0
+    m = _orbit_length(amb, d)
+    return paths, m, cycle_edges // m
+
+
+def _matching_poly(paths: np.ndarray, cycle_len: int, cycles: int, kmax: int) -> list[int]:
+    """Matching polynomial, truncated at degree kmax, of disjoint paths
+    with the given edge counts and `cycles` cycles of `cycle_len` edges:
+    each distinct length's polynomial is raised to its multiplicity."""
+    poly = [1]
+    lengths, mults = np.unique(paths, return_counts=True)
+    for m, mult in zip(lengths.tolist(), mults.tolist()):
+        poly = _poly_mul(poly, _poly_pow(_path_matchings(m, kmax), mult, kmax), kmax)
+    if cycles:
+        poly = _poly_mul(poly, _poly_pow(_cycle_matchings(cycle_len, kmax), cycles, kmax),
+                         kmax)
+    return poly
 
 
 def max_disjoint_pairs(members: frozenset, amb: AmbientSpec, d) -> int:
     """Largest number of vertex-disjoint pairs {x, x+d}; exact via the
-    chain decomposition (greedy matching is optimal on paths and cycles)."""
-    total = 0
-    for kind, m in _pair_components(members, amb, d):
-        total += (m + 1) // 2 if kind == "path" else m // 2
-    return total
+    chain decomposition (greedy matching is optimal on paths and cycles):
+    ceil(m/2) pairs on a path with m edges, floor(m/2) on a cycle."""
+    if _hashable(d) == amb.identity(DIFFERENCE):
+        return 0  # no pair {x, x} has two elements
+    paths, cycle_len, cycles = _chains(_element_codes(amb, sorted(members)), amb, d)
+    return int(((paths + 1) // 2).sum()) + cycles * (cycle_len // 2)
 
 
 def energy_prime_k(A: GroundSet, k: int, method: str = "auto",
@@ -477,10 +553,17 @@ def energy_prime_k(A: GroundSet, k: int, method: str = "auto",
     """Ordered 2k-tuples (x_1, x'_1, ..., x_k, x'_k) in A^{2k} with all
     entries pairwise distinct and equal differences x_j - x'_j.
 
-    The default algorithm counts, per difference, ordered k-tuples of
-    vertex-disjoint pairs through the matching polynomial of the chain
-    decomposition; it is exact at every size.  `method="enumerate"` is a
-    direct backtracking enumeration, capped at |A| <= cap.
+    The default algorithm counts, per difference d, ordered k-tuples of
+    vertex-disjoint pairs through the matching polynomial of the graph
+    x -> x + d on A, which splits into paths and cycles.  It handles each
+    class {d, -d} with r(d) >= k once (the graph of -d is the reverse of
+    the graph of d) on one array of A's elements: one sort-free
+    searchsorted pass finds every successor, pointer doubling gives the
+    path lengths, and every cycle has the order of d as its length.  Memory
+    is O(|A|) beyond the difference histogram.  The arrays are int64 when
+    no step can leave int64 and Python ints otherwise, so the count is
+    exact at every size.  `method="enumerate"` is a direct backtracking
+    enumeration, capped at |A| <= cap.
 
     `within_pairs_only` switches to the weaker reading that only requires
     x_j != x'_j inside each pair, i.e. the sum of r^k over nonzero
@@ -499,18 +582,15 @@ def energy_prime_k(A: GroundSet, k: int, method: str = "auto",
         return _energy_prime_enumerate(A, k)
     if method != "auto":
         raise UnsupportedMode(f"unknown energy_prime_k method {method!r}")
+    codes = _element_codes(amb, A.elements)
     total = 0
-    kfact = math.factorial(k)
     for d in hist.values_with_count_at_least(k):
-        if d == zero:
-            continue
-        poly = [1]
-        for kind, m in _pair_components(A.members, amb, d):
-            part = _path_matchings(m, k) if kind == "path" else _cycle_matchings(m, k)
-            poly = _poly_mul(poly, part, k)
-        if len(poly) > k:
-            total += kfact * poly[k]
-    return total
+        minus = negate(amb, d)
+        if d == zero or minus < d:
+            continue  # the class {d, -d} is counted at its smaller member
+        poly = _matching_poly(*_chains(codes, amb, d), k)
+        total += (1 if minus == d else 2) * poly[k]
+    return math.factorial(k) * total
 
 
 def _energy_prime_enumerate(A: GroundSet, k: int) -> int:
@@ -566,7 +646,9 @@ def common_energy(A: GroundSet, B: GroundSet) -> int:
     ha = difference_histogram(A)
     hb = difference_histogram(B)
     small, big = (ha, hb) if ha.support_size <= hb.support_size else (hb, ha)
-    return sum(c * big.count(v) for v, c in small.iter_items())
+    items = small.items()
+    counts = big.counts([v for v, _ in items]).tolist()
+    return sum(c * b for (_, c), b in zip(items, counts))
 
 
 def popular_level_set(A: GroundSet, delta: int, include_zero: bool = True) -> GroundSet:

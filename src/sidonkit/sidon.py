@@ -535,15 +535,12 @@ def dense_core_extract(A: GroundSet, g: int) -> tuple[GroundSet, dict]:
     hist = difference_histogram(A)
     e_in = hist.energy(g + 1)
     n = len(A)
-    core = []
-    masses = {}
-    for a in A:
-        m = 0
-        for x in A:
-            m += hist.count(compose_value(amb, DIFFERENCE, x, a)) ** g
-        masses[a] = m
-        if 2 * n * m >= e_in:
-            core.append(a)
+    counts = hist.counts([compose_value(amb, DIFFERENCE, x, a) for a in A for x in A])
+    # mass(a) = sum_x r(x - a)^g <= n^(g+1): int64 when that fits, else Python ints
+    if n ** (g + 1) >= 2**63:
+        counts = counts.astype(object)
+    masses = (counts.reshape(n, n) ** g).sum(axis=1).tolist()
+    core = [a for a, m in zip(A, masses) if 2 * n * m >= e_in]
     core_set = GroundSet.from_iterable(amb, core)
     e_core = difference_histogram(core_set).energy(g + 1) if core else 0
     floor = 4 ** ((g + 1) ** 2)

@@ -36,7 +36,15 @@ from .counting import (
     rep_histogram,
     reuses_histograms,
 )
-from .errors import EmptyCore, PreconditionFailed, UnsupportedMode
+from .errors import (
+    AmbientMismatch,
+    CapExceeded,
+    EmptyCore,
+    NonCanonicalElement,
+    PreconditionFailed,
+    SidonkitError,
+    UnsupportedMode,
+)
 from .groundset import GroundSet
 from .sidon import (
     ExtractionResult,
@@ -49,6 +57,14 @@ from .sidon import (
 
 FORMAT_VERSION = 1
 
+# Largest denominator of delta or eps that `energy_gap_decompose` admits.
+# The exact threshold test raises E_l to the power of delta's denominator,
+# M = ceil(|A|^(eps/2)) takes a root of that degree for eps, and the loop
+# runs up to ceil(2/eps) + 2 orders, so the work grows with both.  At this
+# bound, deriving and verifying a certificate for [1, 4096] takes 0.7-0.9 s
+# on a 2-CPU VM (1.5-2 s at twice the bound).
+MAX_DENOMINATOR = 2**16
+
 SMALL_ENERGY = "small-energy"
 POPULAR_CORE = "popular-core"
 RIGID_STRUCTURE = "rigid-structure"
@@ -59,9 +75,13 @@ MULTIPLICATIVE_BRANCH = "multiplicative-after-structure"
 
 def as_fraction(x) -> Fraction:
     """Exact parameter normalization; floats are read as their shortest
-    decimal form (0.25 -> 1/4)."""
+    decimal form (0.25 -> 1/4).  A string may not use exponent notation:
+    `Fraction` would expand an exponent such as 1e-999999999 in full, which
+    takes hours, before any bound on the parameter could be checked."""
     if isinstance(x, float):
         return Fraction(repr(x))
+    if isinstance(x, str) and "e" in x.lower():
+        raise ValueError(f"exponent notation is not accepted: {x!r}")
     return Fraction(x)
 
 
@@ -129,18 +149,10 @@ class StructureCertificate:
             raise ValueError(f"malformed structure certificate: {exc!r}") from None
 
 
-def _energy_table(A: GroundSet, l_top: int) -> dict[int, int]:
-    """E_l for l = 1..l_top from one histogram's count multiset."""
-    hist = difference_histogram(A)
-    multiset = hist.count_multiset()
-    return {l: sum(mult * c**l for c, mult in multiset.items())
-            for l in range(1, l_top + 1)}
-
-
 def _masses(A: GroundSet, P: GroundSet) -> dict:
     """mass(a) = |A  intersect  (P + a)| = r_{A-P}(a) for every a in A."""
-    hist = rep_histogram(A, P, DIFFERENCE)
-    return {a: hist.count(a) for a in A}
+    counts = rep_histogram(A, P, DIFFERENCE).counts(A.elements)
+    return dict(zip(A.elements, counts.tolist()))
 
 
 @reuses_histograms
@@ -152,6 +164,9 @@ def energy_gap_decompose(A: GroundSet, delta, eps) -> StructureCertificate:
     their average, and return the popular core.  The loop is capped at
     ceil(2/eps) + 2 steps, after which the small-energy comparison is
     provable; the certificate stores the evaluated comparison either way.
+    E_l is computed only up to the order after the one where the loop
+    stops.  A delta or eps whose denominator exceeds `MAX_DENOMINATOR`
+    raises `CapExceeded`.
     """
     delta = as_fraction(delta)
     eps = as_fraction(eps)
@@ -159,12 +174,18 @@ def energy_gap_decompose(A: GroundSet, delta, eps) -> StructureCertificate:
         raise PreconditionFailed("delta and eps must lie in (0, 1]")
     if eps > delta:
         raise PreconditionFailed("eps must not exceed delta")
+    if max(delta.denominator, eps.denominator) > MAX_DENOMINATOR:
+        raise CapExceeded(f"delta = {delta} or eps = {eps} has a denominator above "
+                          f"{MAX_DENOMINATOR}")
     n = len(A)
     if n < 4:
         raise PreconditionFailed("decomposition needs |A| >= 4")
     M = ceil_power(n, eps / 2)
     l_max = math.ceil(Fraction(2) / eps) + 2
-    energies = _energy_table(A, l_max + 1)
+    multiset = difference_histogram(A).count_multiset()
+
+    def energy(l: int) -> int:
+        return sum(mult * c**l for c, mult in multiset.items())
     parameters = {
         "delta": str(delta),
         "eps": str(eps),
@@ -173,8 +194,9 @@ def energy_gap_decompose(A: GroundSet, delta, eps) -> StructureCertificate:
         "set_size": n,
     }
     trace = []
+    e_next = energy(2)
     for l in range(2, l_max + 1):
-        e_l, e_next = energies[l], energies[l + 1]
+        e_l, e_next = e_next, energy(l + 1)
         if power_at_most(e_l, n, l + delta):
             trace.append(_trace_step(l, e_l, e_next, n, fired=False, small=True))
             return StructureCertificate(
@@ -187,12 +209,11 @@ def energy_gap_decompose(A: GroundSet, delta, eps) -> StructureCertificate:
             return StructureCertificate(
                 POPULAR_CORE, parameters, tuple(trace),
                 core=_build_core(A, l, M))
-    e_k = energies[l_max]
     return StructureCertificate(
         SMALL_ENERGY, parameters, tuple(trace),
-        small={"k": l_max, "energy": e_k,
-               "below_threshold": power_at_most(e_k, n, l_max + delta),
-               "kappa": kappa_of(e_k, n, l_max)})
+        small={"k": l_max, "energy": e_l,
+               "below_threshold": power_at_most(e_l, n, l_max + delta),
+               "kappa": kappa_of(e_l, n, l_max)})
 
 
 def _trace_step(l: int, e_l: int, e_next: int, n: int, fired: bool, small: bool) -> dict:
@@ -536,7 +557,7 @@ def verify_certificate(A: GroundSet, cert: StructureCertificate) -> list[str]:
         derived = energy_gap_decompose(A, delta, eps)
         if cert.variant == RIGID_STRUCTURE:
             derived = rigid_structure(A, delta, eps, certificate=derived)
-    except (PreconditionFailed, EmptyCore) as exc:
+    except (PreconditionFailed, EmptyCore, CapExceeded) as exc:
         return [f"no certificate derives from A and these parameters: {exc}"]
     # a payload the derivation leaves out must be absent from the certificate
     expected = {"small": None, "core": None, "rigid": None, **derived.to_json_dict()}
@@ -569,8 +590,10 @@ def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
     subset_dict = report_dict.get("subset")
     if subset_dict is None:
         return ["missing subset"]
-    amb = AmbientSpec.from_dict(subset_dict["ambient"])
-    subset = GroundSet.from_iterable(amb, _as_elements(amb, subset_dict["elements"]))
+    try:
+        subset = _read_subset(A.ambient, subset_dict)
+    except (KeyError, TypeError, SidonkitError) as exc:
+        return [f"unreadable subset: {exc!r}"]
     issues: list[str] = []
     if not subset.members <= A.members:
         issues.append("subset is not contained in A")
@@ -643,6 +666,23 @@ def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
         return issues + ["missing extraction"]
     return issues + _verify_extraction(source, k, mode, seed, trials, ext,
                                        subset_dict, subset)
+
+
+def _read_subset(amb: AmbientSpec, subset_dict) -> GroundSet:
+    """The serialized subset as a GroundSet of A's ambient; raises unless
+    it names that ambient and lists canonical elements in canonical order,
+    each once."""
+    if not isinstance(subset_dict["ambient"], dict):
+        raise TypeError(f"subset ambient must be an object, got {subset_dict['ambient']!r}")
+    if AmbientSpec.from_dict(subset_dict["ambient"]) != amb:
+        raise AmbientMismatch(f"subset ambient {subset_dict['ambient']!r} is not {amb}")
+    raw = subset_dict["elements"]
+    if not isinstance(raw, list):
+        raise TypeError(f"subset elements must be a list, got {raw!r}")
+    subset = GroundSet.from_iterable(amb, raw)
+    if _elements_list(subset.elements) != raw:
+        raise NonCanonicalElement("subset elements are not sorted, distinct and canonical")
+    return subset
 
 
 def _verify_extraction(source: GroundSet, k: int, mode: str, seed: int, trials: int,

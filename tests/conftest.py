@@ -142,6 +142,27 @@ def _count_disjoint(group, used: set, k: int) -> int:
     return total
 
 
+def oracle_max_disjoint_pairs(kind: str, modulus, elements, d) -> int:
+    """Largest number of pairwise disjoint pairs {x, x + d} inside
+    `elements`, by trying every set of such pairs."""
+    members = set(elements)
+    pairs = []
+    for x in elements:
+        y = oracle_compose(kind, modulus, "sum", x, d)
+        if y in members and y != x and {x, y} not in pairs:
+            pairs.append({x, y})
+
+    def best(i: int, used: set) -> int:
+        if i == len(pairs):
+            return 0
+        skip = best(i + 1, used)
+        if used.isdisjoint(pairs[i]):
+            return max(skip, 1 + best(i + 1, used | pairs[i]))
+        return skip
+
+    return best(0, set())
+
+
 # ---------------------------------------------------------------------------
 # Independent family/graph oracles
 

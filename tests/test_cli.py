@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import oracle_energy_prime
 from sidonkit import AmbientSpec, GroundSet, integer_range, integer_set, serialize_set
 from sidonkit.cli import main
 
@@ -128,6 +129,49 @@ def test_pipeline_cli_and_verify(set_file, tmp_path, capsys):
                  "--out", str(rep_path)]) == 0
     code, out, _ = run_cli(["verify-certificate", "--set", path, "--cert", str(rep_path)], capsys)
     assert code == 0
+
+
+def test_energy_prime_cli(set_file, capsys):
+    A = integer_set([-7, -3, 0, 1, 2, 3, 5, 9, 10])
+    path = set_file(A)
+    code, out, err = run_cli(["energy-prime", "--set", path, "--k", "2"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == {"k": 2, "value": oracle_energy_prime(A, 2)}
+    assert f"distinct-tuple energy = {result['value']}" in err
+    code, out, _ = run_cli(["energy-prime", "--set", path, "--k", "3",
+                            "--method", "enumerate"], capsys)
+    assert code == 0 and json.loads(out)["result"]["value"] == oracle_energy_prime(A, 3)
+    code, _, err = run_cli(["energy-prime", "--set", set_file(integer_range(0, 20), "big.json"),
+                            "--k", "2", "--method", "enumerate", "--cap", "12"], capsys)
+    assert code == 3 and "Traceback" not in err
+
+
+def test_verify_certificate_malformed_subset_reported(set_file, tmp_path, capsys):
+    path = set_file(integer_range(1, 129))
+    rep_path = tmp_path / "pipe.json"
+    assert main(["pipeline", "--set", path, "--seed", "7", "--out", str(rep_path)]) == 0
+    blob = json.loads(rep_path.read_text())
+    for subset in ({"elements": [1]}, [1], {"ambient": {"kind": "reals"}, "elements": [1]},
+                   {"ambient": {"kind": "integers"}, "elements": [2, 1]}):
+        blob["result"]["subset"] = subset
+        rep_path.write_text(json.dumps(blob))
+        code, out, err = run_cli(["verify-certificate", "--set", path, "--cert", str(rep_path)],
+                                 capsys)
+        assert code == 1, subset
+        result = json.loads(out)["result"]
+        assert not result["ok"] and result["mismatches"], subset
+        assert "Traceback" not in err
+
+
+def test_pipeline_huge_eps_denominator_exits_3(set_file, capsys):
+    path = set_file(integer_range(1, 129))
+    code, _, err = run_cli(["pipeline", "--set", path, "--eps", "1/1000000000"], capsys)
+    assert code == 3
+    assert "error (budget)" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:  # argparse refuses it before any work
+        main(["pipeline", "--set", path, "--eps", "1e-999999999"])
+    assert exc.value.code == 2
 
 
 def test_construct_save_round_trip(tmp_path, capsys):

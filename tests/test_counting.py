@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_energy_full, oracle_energy_grouped, oracle_energy_prime
+from conftest import (
+    oracle_energy_full,
+    oracle_energy_grouped,
+    oracle_energy_prime,
+    oracle_max_disjoint_pairs,
+)
 from sidonkit import (
     AmbientSpec,
     CapExceeded,
@@ -179,6 +184,141 @@ def test_max_disjoint_pairs_chains():
     amb = AmbientSpec.mod(6)
     C = GroundSet.from_iterable(amb, range(6))
     assert max_disjoint_pairs(C.members, amb, 1) == 3  # one 6-cycle
+
+
+def _cosets(amb, n):
+    """x + <g> for every divisor g of n and x < g, and unions of two
+    cosets of one subgroup, in Z/n."""
+    out = []
+    for g in range(1, n + 1):
+        if n % g == 0:
+            out += [GroundSet.from_iterable(amb, range(x, n, g)) for x in range(g)]
+            if g > 1:
+                out.append(GroundSet.from_iterable(amb, list(range(0, n, g))
+                                                   + list(range(1, n, g))))
+    return out
+
+
+def _plane_lines(p, rng, count):
+    """Lines {(t, a t + b)} and unions of two of them in the plane over F_p."""
+    amb = AmbientSpec.plane(p)
+    lines = [[(t, (a * t + b) % p) for t in range(p)]
+             for a in range(p) for b in range(p)]
+    return ([GroundSet.from_iterable(amb, line) for line in rng.sample(lines, count)]
+            + [GroundSet.from_iterable(amb, rng.choice(lines) + rng.choice(lines))
+               for _ in range(count)])
+
+
+def _energy_prime_corpus():
+    """Sets whose pair graphs hold paths, cycles of every order and
+    2-cycles: whole groups Z/N and cosets of their subgroups, F_p, lines in
+    the plane over F_5, integers with negatives, and integers at the int64
+    edge, where x + d leaves int64."""
+    rng = random.Random(41)
+    sets = []
+    for n in (6, 8, 9, 12):
+        sets += _cosets(AmbientSpec.mod(n), n)
+    for p in (2, 5, 7):
+        sets.append(GroundSet.from_iterable(AmbientSpec.prime_field(p), range(p)))
+    f11 = AmbientSpec.prime_field(11)
+    sets += [GroundSet.from_iterable(f11, rng.sample(range(11), rng.randint(2, 9)))
+             for _ in range(6)]
+    sets += _plane_lines(5, rng, 3)
+    plane5 = [(a, b) for a in range(5) for b in range(5)]
+    sets += [GroundSet.from_iterable(AmbientSpec.plane(5), rng.sample(plane5, 10))
+             for _ in range(3)]
+    sets += [integer_set(rng.sample(range(-30, 31), rng.randint(2, 10))) for _ in range(8)]
+    for c in (2**61, 2**62, 2**63 - 3):
+        sets.append(integer_set([-c + i for i in range(3)] + [c - i for i in range(3)]
+                                + [-1, 0, 1]))
+        sets.append(integer_set(range(c - 5, c + 3)))
+    # moduli whose steps x + d leave int64 (N > 2^62, plane p > 2^31)
+    for N in (2**62 + 2, 2**63 + 2, 2**64):
+        h = N // 2
+        sets.append(GroundSet.from_iterable(AmbientSpec.mod(N),
+                                            [0, 1, 2, h - 1, h, h + 1, N - 2, N - 1]))
+    p = 2**31 + 11
+    sets.append(GroundSet.from_iterable(AmbientSpec.plane(p),
+                                        [(0, 0), (0, 1), (1, 1), (p - 1, p - 1),
+                                         (p - 1, 0), (p // 2, 3), (p // 2 + 1, 4)]))
+    return sets
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_energy_prime_matches_oracle_on_chain_corpus(k):
+    for A in _energy_prime_corpus():
+        assert energy_prime_k(A, k) == oracle_energy_prime(A, k), (A.ambient, A.elements, k)
+
+
+def test_energy_prime_whole_plane():
+    amb = AmbientSpec.plane(5)
+    A = GroundSet.from_iterable(amb, [(a, b) for a in range(5) for b in range(5)])
+    for k in (1, 2):
+        assert energy_prime_k(A, k) == oracle_energy_prime(A, k)
+
+
+def test_energy_prime_int64_edge_switches_to_python_ints():
+    # int64 codes are admitted only while |x| < 2^61, so x + d stays inside int64
+    c = 2**61 - 1
+    inside = integer_set([-c, -c + 1, c - 1, c])
+    outside = integer_set([-c - 1, -c, c - 1, c])
+    assert counting._element_codes(inside.ambient, inside.elements).dtype == np.int64
+    assert counting._element_codes(outside.ambient, outside.elements).dtype == object
+    for A in (inside, outside):
+        assert energy_prime_k(A, 2) == oracle_energy_prime(A, 2) == 8
+
+
+def test_max_disjoint_pairs_against_brute_force():
+    """Paths over the integers, cycles in Z/N, F_p and the plane, and
+    2-cycles (d = -d in Z/8, Z/16 and the plane over F_2)."""
+    rng = random.Random(43)
+    cases = [(integer_set(rng.sample(range(-12, 13), rng.randint(1, 12))), None)
+             for _ in range(10)]
+    for n in (6, 8, 9, 16):
+        cases += [(A, None) for A in _cosets(AmbientSpec.mod(n), n)]
+    cases.append((GroundSet.from_iterable(AmbientSpec.prime_field(7), range(7)), None))
+    cases.append((GroundSet.from_iterable(AmbientSpec.plane(2),
+                                          [(0, 0), (0, 1), (1, 0), (1, 1)]), None))
+    cases += [(A, None) for A in _plane_lines(3, rng, 2)]
+    for A, _ in cases:
+        amb = A.ambient
+        for d in difference_histogram(A).values():
+            if d in (0, (0, 0)):
+                continue
+            want = oracle_max_disjoint_pairs(amb.kind, amb.modulus, A.elements, d)
+            assert max_disjoint_pairs(A.members, amb, d) == want, (amb, A.elements, d)
+    z8 = GroundSet.from_iterable(AmbientSpec.mod(8), range(8))
+    assert max_disjoint_pairs(z8.members, z8.ambient, 4) == 4  # four 2-cycles
+    assert max_disjoint_pairs(z8.members, z8.ambient, 2) == 4  # two 4-cycles
+    assert max_disjoint_pairs(z8.members, z8.ambient, 0) == 0
+
+
+def test_batched_counts_match_single_lookups():
+    """`counts` on both backings: present and absent values, values the
+    array backing cannot hold, plane values given as lists."""
+    rng = random.Random(47)
+    big = integer_set(rng.sample(range(-10**6, 10**6), 120))
+    probes = [0, 1, -1, 2**70, -2**70, Fraction(4, 2), Fraction(1, 2), True] + [
+        a - b for a, b in zip(big, reversed(big.elements))]
+    for A in (big, integer_set(big.elements[:40])):
+        h = rep_histogram(A, A, "difference")
+        pure = {}
+        for a in A:
+            for b in A:
+                pure[a - b] = pure.get(a - b, 0) + 1
+        batch = h.counts(probes)
+        assert batch.tolist() == [h.count(v) for v in probes]
+        assert batch.tolist()[8:] == [pure.get(v, 0) for v in probes[8:]]
+    amb = AmbientSpec.plane(101)
+    P = GroundSet.from_iterable(amb, [(rng.randrange(101), rng.randrange(101))
+                                      for _ in range(120)])
+    h = rep_histogram(P, P, "difference")
+    assert h._dict is None
+    probes = [[0, 0], (0, 0), (1, 2), (0, 101), (101, 0), [-1, 3], 5] + [
+        ((a[0] - b[0]) % 101, (a[1] - b[1]) % 101) for a, b in zip(P, reversed(P.elements))]
+    assert h.counts(probes).tolist() == [h.count(v) for v in probes]
+    assert h.counts(probes).tolist()[2:6] == [h.count((1, 2)), 0, 0, 0]
+    assert h.counts([]).tolist() == []
 
 
 def test_intersection_size_examples():

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from sidonkit import (
     AmbientSpec,
+    CapExceeded,
     GroundSet,
     PreconditionFailed,
     StructureCertificate,
@@ -24,7 +26,12 @@ from sidonkit import (
     verify_pipeline_report,
 )
 from sidonkit.counting import kappa_of
-from sidonkit.structure import _max_degree_vertex, ceil_power, power_at_most
+from sidonkit.structure import (
+    MAX_DENOMINATOR,
+    _max_degree_vertex,
+    ceil_power,
+    power_at_most,
+)
 
 
 def test_exact_power_helpers():
@@ -317,6 +324,73 @@ def test_pipeline_report_tampering_detected():
         tamper(copy)
         assert copy != report, name
         assert verify_pipeline_report(A, copy) != [], name
+
+
+# Malformed `subset` payloads of a pipeline report; each must come back as
+# a mismatch, never raise.
+MALFORMED_SUBSETS = {
+    "no ambient": {"elements": [1]},
+    "a bare list": [1],
+    "a string": "1,2",
+    "ambient not an object": {"ambient": "integers", "elements": [1]},
+    "unknown ambient kind": {"ambient": {"kind": "reals"}, "elements": [1]},
+    "ambient without modulus": {"ambient": {"kind": "integers-mod-N"}, "elements": [1]},
+    "another ambient": {"ambient": {"kind": "prime-field", "p": 257}, "elements": [1]},
+    "no elements": {"ambient": {"kind": "integers"}},
+    "elements not a list": {"ambient": {"kind": "integers"}, "elements": 1},
+    "float element": {"ambient": {"kind": "integers"}, "elements": [1.0]},
+    "string element": {"ambient": {"kind": "integers"}, "elements": ["1"]},
+    "bool element": {"ambient": {"kind": "integers"}, "elements": [True]},
+    "nested element": {"ambient": {"kind": "integers"}, "elements": [[1]]},
+    "element beyond 64 bits": {"ambient": {"kind": "integers"}, "elements": [2**70]},
+    "unsorted elements": {"ambient": {"kind": "integers"}, "elements": [2, 1]},
+    "repeated element": {"ambient": {"kind": "integers"}, "elements": [1, 1]},
+}
+
+
+def test_pipeline_report_malformed_subset_reported():
+    A = integer_range(1, 129)
+    report = json.loads(json.dumps(sum_product_pipeline(A, seed=7).to_json_dict()))
+    assert verify_pipeline_report(A, report) == []
+    for name, subset in MALFORMED_SUBSETS.items():
+        issues = verify_pipeline_report(A, dict(report, subset=subset))
+        assert issues and issues[0].startswith("unreadable subset"), name
+
+
+def test_parameter_denominators_capped():
+    A = integer_range(0, 64)
+    for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
+        energy_gap_decompose(A, Fraction(1, 2), eps)
+    energy_gap_decompose(A, Fraction(MAX_DENOMINATOR - 1, MAX_DENOMINATOR),
+                         Fraction(1, MAX_DENOMINATOR))
+    with pytest.raises(CapExceeded):
+        energy_gap_decompose(A, Fraction(1, 2), Fraction(1, MAX_DENOMINATOR + 1))
+    with pytest.raises(CapExceeded):
+        energy_gap_decompose(A, Fraction(MAX_DENOMINATOR, MAX_DENOMINATOR + 1), Fraction(1, 4))
+    with pytest.raises(CapExceeded):
+        sum_product_pipeline(integer_range(1, 65), eps=Fraction(1, 10**9))
+
+
+def test_huge_delta_denominator_refused_quickly():
+    """A certificate tampered to delta = (10^9 - 1)/10^9 would ask for E_l
+    to the power 10^9; it is refused as a mismatch instead."""
+    A = integer_range(0, 64)
+    cert = energy_gap_decompose(A, Fraction(1, 2), Fraction(1, 4)).to_json_dict()
+    cert["parameters"]["delta"] = str(Fraction(10**9 - 1, 10**9))
+    start = time.perf_counter()
+    issues = verify_certificate(A, StructureCertificate.from_json_dict(cert))
+    assert issues and "denominator" in issues[0]
+    cert["parameters"]["delta"] = "1e-999999999"  # Fraction would expand 10^999999999
+    issues = verify_certificate(A, StructureCertificate.from_json_dict(cert))
+    assert issues and "exponent notation" in issues[0]
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(json.dumps(sum_product_pipeline(integer_range(1, 129),
+                                                        seed=7).to_json_dict()))
+    report["certificate"]["parameters"]["eps"] = str(Fraction(1, 10**9))
+    report["parameters"]["eps"] = str(Fraction(1, 10**9))
+    start = time.perf_counter()
+    assert verify_pipeline_report(integer_range(1, 129), report) != []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pipeline_popular_core_variant():
