@@ -103,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized subcommands (recorded; default 0)")
-    common.add_argument("--trials", type=int, default=20)
-    common.add_argument("--cap", type=int, default=40,
-                        help="element cap for exact searches")
     parser = argparse.ArgumentParser(
         prog="sidonkit",
         description="Exact energies, Sidon-type extraction, structure "
@@ -114,6 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
+
+    def add_cap(p):
+        p.add_argument("--cap", type=int, default=40, help="element cap for exact searches")
 
     p = add_parser("energy", help="k-th energy of a set")
     p.add_argument("--set", required=True)
@@ -125,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=["auto", "enumerate"], default="auto")
     p.add_argument("--within-pairs-only", action="store_true")
+    add_cap(p)
 
     p = add_parser("histogram", help="representation-function histogram")
     p.add_argument("--set", required=True)
@@ -144,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", type=_mode, default=DIFFERENCE)
+    add_cap(p)
 
     p = add_parser("greedy", help="randomized greedy subset")
     p.add_argument("--set", required=True)
@@ -154,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", type=_mode, default=DIFFERENCE)
+    p.add_argument("--trials", type=int, default=20)
 
     p = add_parser("dense-core", help="energy-dense core refinement")
     p.add_argument("--set", required=True)
@@ -203,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 16))
     p.add_argument("--variant", choices=["rigid", "popular"], default="rigid")
     p.add_argument("--lmax", type=int, default=6)
+    p.add_argument("--trials", type=int, default=20)
 
     p = sub.add_parser("bounds", help="closed-form bound evaluation")
     bsub = p.add_subparsers(dest="bound", required=True)
@@ -212,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--sigma", type=int, default=1)
     b.add_argument("--target", help="set A to verify the sigma hypothesis against")
+    add_cap(b)
     b = bsub.add_parser("diffset", parents=[common])
     b.add_argument("--set", required=True)
     b.add_argument("--k", type=int, required=True)
@@ -238,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute every statistic of a stored certificate")
     p.add_argument("--set", required=True)
     p.add_argument("--cert", required=True)
-
-    p = add_parser("bench", help="histogram/energy timing probe")
-    p.add_argument("--sizes", default="256,1024")
-    p.add_argument("--mode", type=_mode, default=DIFFERENCE)
 
     return parser
 
@@ -343,8 +344,6 @@ def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
         code = 0 if not issues else 1
         return {"ok": not issues, "mismatches": issues}, code, \
             ("certificate verifies" if not issues else f"{len(issues)} mismatches")
-    if sc == "bench":
-        return _bench(args)
     raise SidonkitError(f"unhandled subcommand {sc!r}")
 
 
@@ -389,21 +388,6 @@ def _bounds(args, inputs) -> tuple[dict, int, str]:
         rep = bfamily_size_upper(args.n, args.k, args.g, args.setting)
     code = 1 if rep.verdict == "violated" else 0
     return rep.to_dict(), code, f"{rep.name}: {float(rep.bound):.3f} ({rep.verdict})"
-
-
-def _bench(args) -> tuple[dict, int, str]:
-    from .groundset import integer_range
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = []
-    for n in sizes:
-        A = integer_range(0, n)
-        t0 = time.monotonic()
-        rep = energy_k(A, 2, args.mode)
-        elapsed = time.monotonic() - t0
-        rows.append({"n": n, "mode": args.mode, "energy_2": rep.value})
-        print(f"[bench] n={n} mode={args.mode} E_2={rep.value} ({elapsed:.3f}s)",
-              file=sys.stderr)
-    return {"rows": rows}, 0, f"benchmarked {len(sizes)} sizes"
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,10 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .ambient import (
+    ELEMENT_MAX,
     INTEGERS,
     MOD_N,
     PLANE,
@@ -23,9 +26,9 @@ from .ambient import (
     canonical_element,
     compose,
 )
+from .codes import decode, pair_codes
 from .errors import (
     AmbientMismatch,
-    DivisionByZero,
     DuplicateElement,
     MalformedInput,
     NonCanonicalElement,
@@ -105,20 +108,19 @@ def set_compose(A: GroundSet, B: GroundSet, mode: str,
     fractions and live in histograms instead.
     """
     _require_same_ambient(A, B)
-    if mode == RATIO and A.ambient.kind == INTEGERS:
+    amb = A.ambient
+    if mode not in amb.modes:
+        raise UnsupportedMode(f"mode {mode!r} undefined for {amb.kind}")
+    if mode == RATIO and amb.kind == INTEGERS:
         raise UnsupportedMode(
             "set-level ratio over the integers would produce fractional "
             "elements; use rep_histogram for exact ratio statistics"
         )
-    out = set()
-    for a in A:
-        for b in B:
-            try:
-                out.add(compose(A.ambient, mode, a, b))
-            except DivisionByZero:
-                if not skip_noninvertible:
-                    raise
-    return GroundSet.from_iterable(A.ambient, out)
+    flat, _ = pair_codes(amb, mode, A.elements, B.elements, skip_noninvertible)
+    out = tuple(decode(amb, mode, np.unique(flat)))
+    if amb.kind == INTEGERS and out and max(-out[0], out[-1]) > ELEMENT_MAX:
+        raise OverflowBudgetExceeded(f"{mode} of elements exceeds the 64-bit element budget")
+    return GroundSet(amb, out)
 
 
 def affine_image(A: GroundSet, scale, shift) -> GroundSet:

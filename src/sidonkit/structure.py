@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .ambient import (
     DIFFERENCE,
     INTEGERS,
-    PLANE,
     PRIME_FIELD,
     PRODUCT,
     SUM,
@@ -27,11 +28,11 @@ from .ambient import (
     compose_value,
 )
 from .bounds import ceil_sqrt, integer_kth_root
+from .codes import code_dtype, compose_codes, element_codes
 from .counting import (
     difference_histogram,
     dyadic_best_level,
     energy_k,
-    int64_exact,
     kappa_of,
     rep_histogram,
     reuses_histograms,
@@ -263,60 +264,38 @@ def _popularity_edges(P: GroundSet, M: int) -> set:
 
 def _max_degree_vertex(P: GroundSet, good: set):
     """Vertex of the popularity graph with the most neighbors; ties go to
-    the smallest element (elements are scanned in canonical order)."""
+    the smallest element (elements are scanned in canonical order).  `good`
+    holds no zero difference, so no vertex counts itself."""
     amb = P.ambient
-    if len(P) >= 64 and amb.kind != PLANE and int64_exact(amb, DIFFERENCE, P.elements):
-        import numpy as np
-        arr = np.fromiter(P.elements, dtype=np.int64, count=len(P))
-        good_arr = np.fromiter(sorted(good), dtype=np.int64, count=len(good))
-        degs = np.zeros(arr.size, dtype=np.int64)
-        chunk = max(1, 2**22 // arr.size)
-        for i in range(0, arr.size, chunk):
-            d = arr[i:i + chunk, None] - arr[None, :]
-            if amb.kind != INTEGERS:
-                d %= amb.modulus
-            degs[i:i + chunk] = np.isin(d, good_arr).sum(axis=1)
-        idx = int(np.argmax(degs))  # first maximum = smallest element
-        return P.elements[idx], int(degs[idx])
-    best = None
-    best_deg = -1
-    for p in P.elements:
-        deg = sum(1 for q in P.elements
-                  if q != p and compose_value(amb, DIFFERENCE, p, q) in good)
-        if deg > best_deg:
-            best, best_deg = p, deg
-    return best, best_deg
+    dtype = code_dtype(amb, DIFFERENCE, P.elements)
+    codes = element_codes(amb, P.elements, dtype)
+    good_codes = element_codes(amb, sorted(good), dtype)
+    degs = np.zeros(codes.size, dtype=np.int64)
+    chunk = max(1, 2**22 // codes.size)
+    for i in range(0, codes.size, chunk):
+        d = compose_codes(amb, DIFFERENCE, codes[i:i + chunk], codes)
+        degs[i:i + chunk] = np.isin(d, good_codes).reshape(-1, codes.size).sum(axis=1)
+    idx = int(np.argmax(degs))  # first maximum = smallest element
+    return P.elements[idx], int(degs[idx])
 
 
 def _greedy_disjoint_translates(W, H: GroundSet) -> list:
     """Scan W in canonical order, keeping z whenever H+z avoids every
     translate already kept."""
     amb = H.ambient
-    if (len(W) * len(H) >= 200_000 and amb.kind != PLANE
-            and int64_exact(amb, SUM, H.elements, W)):
-        import numpy as np
-        h = np.fromiter(H.elements, dtype=np.int64, count=len(H))
-        covered = np.empty(0, dtype=np.int64)
-        Z = []
-        for z in W:
-            t = h + z
-            if amb.kind != INTEGERS:
-                t %= amb.modulus
-            if covered.size:
-                pos = np.searchsorted(covered, t)
-                inside = pos < covered.size
-                if np.any(covered[np.minimum(pos, covered.size - 1)][inside] == t[inside]):
-                    continue
+    dtype = code_dtype(amb, SUM, H.elements, W)
+    h = element_codes(amb, H.elements, dtype)
+    w = element_codes(amb, W, dtype)
+    covered = np.empty(0, dtype=dtype)  # codes of the kept translates, sorted
+    Z = []
+    for i, z in enumerate(W):
+        t = compose_codes(amb, SUM, w[i:i + 1], h)
+        pos = np.searchsorted(covered, t)
+        hit = pos < covered.size
+        hit[hit] = covered[pos[hit]] == t[hit]
+        if not hit.any():
             Z.append(z)
             covered = np.sort(np.concatenate([covered, t]))
-        return Z
-    covered_set: set = set()
-    Z = []
-    for z in W:
-        translate = [compose_value(amb, SUM, x, z) for x in H]
-        if all(t not in covered_set for t in translate):
-            Z.append(z)
-            covered_set.update(translate)
     return Z
 
 

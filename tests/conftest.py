@@ -216,6 +216,29 @@ def oracle_compose(kind: str, modulus, mode: str, a, b):
     return v if kind == "integers" else v % modulus
 
 
+def oracle_histogram(A: GroundSet, B: GroundSet, mode: str) -> tuple[dict, int]:
+    """(value -> number of ordered pairs (a, b) in A x B with a o b = value,
+    number of ratio pairs skipped for b = 0), from `oracle_compose`."""
+    kind, modulus = A.ambient.kind, A.ambient.modulus
+    counts: dict = {}
+    skipped = 0
+    for a in A.elements:
+        for b in B.elements:
+            if mode == "ratio" and b == 0:
+                skipped += 1
+                continue
+            v = oracle_compose(kind, modulus, mode, a, b)
+            counts[v] = counts.get(v, 0) + 1
+    return counts, skipped
+
+
+def oracle_max_count(counts: dict, exclude=()):
+    """(value, count) with the largest count outside `exclude`, ties to the
+    smallest value; None when nothing is left."""
+    left = [(v, c) for v, c in counts.items() if v not in exclude]
+    return min(left, key=lambda vc: (-vc[1], vc[0])) if left else None
+
+
 def oracle_fits(kind: str, modulus, mode: str, subset, k: int) -> bool:
     """Does every value other than the mode's identity (0 or (0, 0) for
     differences, 1 for products and ratios, none for sums) arise from at

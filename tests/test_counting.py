@@ -11,6 +11,8 @@ from conftest import (
     oracle_energy_full,
     oracle_energy_grouped,
     oracle_energy_prime,
+    oracle_histogram,
+    oracle_max_count,
     oracle_max_disjoint_pairs,
 )
 from sidonkit import (
@@ -28,10 +30,10 @@ from sidonkit import (
     popular_level_set,
     rep_histogram,
 )
-from sidonkit import counting
+from sidonkit import DivisionByZero, counting
+from sidonkit.codes import code_dtype
 from sidonkit.counting import (
     difference_histogram,
-    int64_exact,
     max_disjoint_pairs,
     reuses_histograms,
 )
@@ -101,15 +103,12 @@ def test_energy_matches_both_oracles():
             assert energy_k(A, k).value == oracle_energy_grouped(A, k)
 
 
-def test_energy_numpy_path_matches_pure():
-    # force both code paths on the same set: size above and below threshold
+def test_energy_matches_oracle_histogram():
     A = integer_range(0, 120)
-    h_big = rep_histogram(A, A, "difference")
-    pure = {}
-    for a in A:
-        for b in A:
-            pure[a - b] = pure.get(a - b, 0) + 1
-    assert h_big.to_counts_dict() == pure
+    h = rep_histogram(A, A, "difference")
+    want, _ = oracle_histogram(A, A, "difference")
+    assert h.to_counts_dict() == want
+    assert h.energy(2) == sum(c * c for c in want.values())
 
 
 def test_energy_prime_examples():
@@ -262,8 +261,8 @@ def test_energy_prime_int64_edge_switches_to_python_ints():
     c = 2**61 - 1
     inside = integer_set([-c, -c + 1, c - 1, c])
     outside = integer_set([-c - 1, -c, c - 1, c])
-    assert counting._element_codes(inside.ambient, inside.elements).dtype == np.int64
-    assert counting._element_codes(outside.ambient, outside.elements).dtype == object
+    assert counting._chain_codes(inside.ambient, inside.elements).dtype == np.int64
+    assert counting._chain_codes(outside.ambient, outside.elements).dtype == object
     for A in (inside, outside):
         assert energy_prime_k(A, 2) == oracle_energy_prime(A, 2) == 8
 
@@ -294,26 +293,27 @@ def test_max_disjoint_pairs_against_brute_force():
 
 
 def test_batched_counts_match_single_lookups():
-    """`counts` on both backings: present and absent values, values the
-    array backing cannot hold, plane values given as lists."""
+    """`counts`: present and absent values, values an int64 code array
+    cannot hold, non-values (bools and floats count 0 at every size),
+    plane values given as lists."""
     rng = random.Random(47)
     big = integer_set(rng.sample(range(-10**6, 10**6), 120))
-    probes = [0, 1, -1, 2**70, -2**70, Fraction(4, 2), Fraction(1, 2), True] + [
+    probes = [0, 1, -1, 2**70, -2**70, Fraction(4, 2), Fraction(1, 2), True, 1.0] + [
         a - b for a, b in zip(big, reversed(big.elements))]
     for A in (big, integer_set(big.elements[:40])):
         h = rep_histogram(A, A, "difference")
-        pure = {}
-        for a in A:
-            for b in A:
-                pure[a - b] = pure.get(a - b, 0) + 1
+        pure, _ = oracle_histogram(A, A, "difference")
         batch = h.counts(probes)
         assert batch.tolist() == [h.count(v) for v in probes]
-        assert batch.tolist()[8:] == [pure.get(v, 0) for v in probes[8:]]
+        assert batch.tolist()[9:] == [pure.get(v, 0) for v in probes[9:]]
+    for n in (20, 120):  # bools and floats are not values at any size
+        h = rep_histogram(integer_range(0, n), integer_range(0, n), "difference")
+        assert h.counts([1, True, 1.0]).tolist() == [n - 1, 0, 0]
     amb = AmbientSpec.plane(101)
     P = GroundSet.from_iterable(amb, [(rng.randrange(101), rng.randrange(101))
                                       for _ in range(120)])
     h = rep_histogram(P, P, "difference")
-    assert h._dict is None
+    assert code_dtype(amb, "difference", P.elements) == np.int64
     probes = [[0, 0], (0, 0), (1, 2), (0, 101), (101, 0), [-1, 3], 5] + [
         ((a[0] - b[0]) % 101, (a[1] - b[1]) % 101) for a, b in zip(P, reversed(P.elements))]
     assert h.counts(probes).tolist() == [h.count(v) for v in probes]
@@ -426,11 +426,11 @@ def test_int64_edge_stays_exact():
     A = integer_set([-2**62, 2**62] + list(range(100)))
     assert energy_k(A, 2, "difference").value == 667510
     assert energy_k(A, 2, "sum").value == 667510
-    assert not int64_exact(A.ambient, "difference", A.elements)
-    assert int64_exact(A.ambient, "sum", [2**62 - 1, -(2**62 - 1)])
+    assert code_dtype(A.ambient, "difference", A.elements) == object
+    assert code_dtype(A.ambient, "sum", [2**62 - 1, -(2**62 - 1)]) == np.int64
     edge = integer_set([-3_037_000_499, 3_037_000_499] + list(range(100)))
-    assert int64_exact(edge.ambient, "product", edge.elements)
-    assert not int64_exact(edge.ambient, "product", [3_037_000_500])
+    assert code_dtype(edge.ambient, "product", edge.elements) == np.int64
+    assert code_dtype(edge.ambient, "product", [3_037_000_500]) == object
     assert energy_k(edge, 2, "product").value == oracle_energy_grouped(edge, 2, "product")
 
 
@@ -452,26 +452,37 @@ class _BackendSpy:
         return recorded
 
 
-def _numpy_and_dict(monkeypatch, A, B, mode):
-    """(counting routines used, array-backed histogram, dict histogram)."""
+def _spied_histogram(monkeypatch, A, B, mode, skip_noninvertible=False):
+    """(counting routines used, histogram)."""
     spy = _BackendSpy()
     monkeypatch.setattr(counting, "np", spy)
-    monkeypatch.setattr(counting, "_NP_PAIR_THRESHOLD", 1)
-    fast = rep_histogram(A, B, mode)
-    monkeypatch.setattr(counting, "np", np)
-    monkeypatch.setattr(counting, "_NP_PAIR_THRESHOLD", 10**30)
-    slow = rep_histogram(A, B, mode)
+    hist = rep_histogram(A, B, mode, skip_noninvertible)
     monkeypatch.undo()
-    return spy.used, fast, slow
+    return spy.used, hist
 
 
 def _with_ends(rng, lo, hi, n):
     return [lo, hi] + rng.sample(range(lo + 1, hi), n - 2)
 
 
+def _check_against_oracle(hist, A, B, mode):
+    """Counts, value order, pair tallies and max_count, ties included,
+    against `oracle_histogram`."""
+    want, skipped = oracle_histogram(A, B, mode)
+    assert hist.to_counts_dict() == want, (A, mode)
+    assert hist.items() == sorted(want.items()), (A, mode)
+    assert (hist.total_pairs, hist.skipped_pairs) == (len(A) * len(B) - skipped, skipped)
+    values = sorted(want)
+    for exclude in ((), tuple(values[:1]), tuple(values[1:]), tuple(values)):
+        assert hist.max_count(exclude) == oracle_max_count(want, exclude), (A, mode, exclude)
+
+
 def test_histogram_backends_agree(monkeypatch):
     rng = random.Random(43)
     mod = AmbientSpec.mod(2**6)
+    big_n = 2**63 + 2
+    big_p = 2**31 + 11
+    f13 = AmbientSpec.prime_field(13)
     cases = [
         # negative integers: dense (bincount) and spread (sort)
         (integer_set(rng.sample(range(-400, -100), 60)), None, "difference", "bincount"),
@@ -496,50 +507,89 @@ def test_histogram_backends_agree(monkeypatch):
         (GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (2, 2)]), None, "sum", "unique"),
         (GroundSet.from_iterable(AmbientSpec.plane(3), [(x, y) for x in range(3) for y in range(2)]),
          None, "difference", "bincount"),
+        # Python-int codes: the int64 edge, products at +-3_037_000_500,
+        # Z/N with N = 2^63 + 2, and the plane over F_(2^31 + 11)
+        (integer_set([-2**62, 2**62] + list(range(100))), None, "difference", "unique"),
+        (integer_set([-2**62, 2**62] + list(range(100))), None, "sum", "unique"),
+        (integer_set([-3_037_000_500, 3_037_000_500] + list(range(-5, 20))), None, "product",
+         "unique"),
+        (GroundSet.from_iterable(AmbientSpec.mod(big_n), [0, 1, 2, big_n // 2, big_n - 2,
+                                                          big_n - 1]), None, "difference",
+         "unique"),
+        (GroundSet.from_iterable(AmbientSpec.mod(big_n), [0, 1, 2, big_n // 2, big_n - 2,
+                                                          big_n - 1]), None, "sum", "unique"),
+        (GroundSet.from_iterable(AmbientSpec.plane(big_p), [(0, 0), (0, 1), (1, 1), (big_p - 1, 0),
+                                                            (big_p - 1, big_p - 1)]), None,
+         "difference", "unique"),
+        # ratios over the integers, below and above 2^31, and over F_13
+        # (with 0 only in A: no pair is skipped)
+        (integer_set(range(-12, 30)), integer_set(range(1, 25)), "ratio", "unique"),
+        (integer_set([-2**40, -3, -1, 1, 2, 6, 2**31, 2**31 + 1, 3 * 2**33]), None, "ratio",
+         "unique"),
+        (GroundSet.from_iterable(f13, range(13)), GroundSet.from_iterable(f13, range(1, 13)),
+         "ratio", "bincount"),
     ]
     for A, B, mode, backend in cases:
         B = A if B is None else B
-        used, fast, slow = _numpy_and_dict(monkeypatch, A, B, mode)
+        used, hist = _spied_histogram(monkeypatch, A, B, mode)
         assert used == [backend], (A, mode)
-        assert slow._dict is not None
-        assert fast.to_counts_dict() == slow.to_counts_dict(), (A, mode)
-        assert fast.items() == slow.items()
-        pure = {}
-        for a in A:
-            for b in B:
-                v = counting.compose_value(A.ambient, mode, a, b)
-                pure[v] = pure.get(v, 0) + 1
-        assert fast.to_counts_dict() == pure
+        _check_against_oracle(hist, A, B, mode)
+    # 0 in B: ratio pairs with b = 0 raise unless skipped
+    A, B = GroundSet.from_iterable(f13, [0, 2, 5, 7]), GroundSet.from_iterable(f13, [0, 3, 5])
+    Z = integer_set([-4, 0, 3, 2**35])
+    for X, Y in ((A, B), (Z, Z)):
+        with pytest.raises(DivisionByZero):
+            rep_histogram(X, Y, "ratio")
+        _check_against_oracle(rep_histogram(X, Y, "ratio", skip_noninvertible=True), X, Y,
+                              "ratio")
 
 
-def test_max_count_exclusions_match_dict_path(monkeypatch):
+def test_max_count_exclusions_match_oracle():
     A = integer_set([0, 1, 2, 3])  # r(0) = 4, r(+-1) = 3, r(+-2) = 2, r(+-3) = 1
-    _, fast, slow = _numpy_and_dict(monkeypatch, A, A, "difference")
-    assert fast._dict is None and slow._dict is not None
-    everything = [v for v, _ in slow.items()]
+    hist = rep_histogram(A, A, "difference")
+    want, _ = oracle_histogram(A, A, "difference")
+    everything = sorted(want)
     for exclude in ((), (0,), (0, -1), (0, -1, 1), (0, 5), (Fraction(1, 2),),
                     tuple(everything[1:]), tuple(everything)):
-        assert fast.max_count(exclude) == slow.max_count(exclude), exclude
-    assert fast.max_count((0,)) == (-1, 3)
-    assert fast.max_count(everything) is None
-    assert fast.count(0) == 4  # the exclusion left the counts untouched
+        assert hist.max_count(exclude) == oracle_max_count(want, exclude), exclude
+    assert hist.max_count((0,)) == (-1, 3)
+    assert hist.max_count(everything) is None
+    assert hist.count(0) == 4  # the exclusion left the counts untouched
     P = GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (0, 1), (1, 0)])
-    _, fast, slow = _numpy_and_dict(monkeypatch, P, P, "difference")
-    for exclude in ((), ((0, 0),), ((0, 0), (0, 1)), tuple(v for v, _ in slow.items())):
-        assert fast.max_count(exclude) == slow.max_count(exclude), exclude
+    hist = rep_histogram(P, P, "difference")
+    want, _ = oracle_histogram(P, P, "difference")
+    for exclude in ((), ((0, 0),), ((0, 0), (0, 1)), tuple(sorted(want))):
+        assert hist.max_count(exclude) == oracle_max_count(want, exclude), exclude
 
 
-def test_plane_exclusions_accept_lists(monkeypatch):
+def test_plane_exclusions_accept_lists():
     # a plane value given as a list is excluded like the tuple it stands for
     P = GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (0, 1), (1, 0), (2, 2)])
-    _, fast, slow = _numpy_and_dict(monkeypatch, P, P, "difference")
-    for hist in (fast, slow):
-        for as_list, as_tuple in ((([0, 0],), ((0, 0),)), (([0, 0], [0, 1]), ((0, 0), (0, 1)))):
-            assert hist.max_count(as_list) == hist.max_count(as_tuple)
-            assert hist.count_multiset(as_list) == hist.count_multiset(as_tuple)
-            assert hist.energy(2, as_list) == hist.energy(2, as_tuple)
-        assert hist.count_multiset(([0, 0],)) != hist.count_multiset()
-        assert hist.energy(2, ([0, 0],)) == hist.energy(2) - 16  # r(0, 0) = 4
+    hist = rep_histogram(P, P, "difference")
+    want, _ = oracle_histogram(P, P, "difference")
+    for as_list, as_tuple in ((([0, 0],), ((0, 0),)), (([0, 0], [0, 1]), ((0, 0), (0, 1)))):
+        assert hist.max_count(as_list) == hist.max_count(as_tuple) \
+            == oracle_max_count(want, as_tuple)
+        assert hist.count_multiset(as_list) == hist.count_multiset(as_tuple)
+        assert hist.energy(2, as_list) == hist.energy(2, as_tuple) \
+            == sum(c * c for v, c in want.items() if v not in as_tuple)
+    assert hist.count_multiset(([0, 0],)) != hist.count_multiset()
+    assert hist.energy(2, ([0, 0],)) == hist.energy(2) - 16  # r(0, 0) = 4
+
+
+def test_repeated_exclusions_count_once():
+    # a value listed twice, or as a tuple and as a list, is excluded once
+    A = integer_range(0, 120)
+    hist = rep_histogram(A, A, "difference")
+    assert hist.energy(2, (0, 0)) == hist.energy(2, (0,)) == hist.energy(2) - 120**2
+    assert hist.count_multiset((0, 0)) == hist.count_multiset((0,))
+    assert hist.max_count((0, 0)) == hist.max_count((0,)) == (-1, 119)
+    rng = random.Random(53)
+    cells = [(x, y) for x in range(101) for y in range(101)]
+    P = GroundSet.from_iterable(AmbientSpec.plane(101), rng.sample(cells, 100))
+    hist = rep_histogram(P, P, "difference")
+    assert hist.energy(2, ([0, 0], (0, 0))) == hist.energy(2) - 100**2
+    assert hist.count_multiset(([0, 0], (0, 0))) == hist.count_multiset(((0, 0),))
 
 
 def test_histogram_reuse_is_call_scoped():

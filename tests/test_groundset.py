@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_compose
 from sidonkit import (
     AmbientMismatch,
     AmbientSpec,
@@ -11,6 +12,7 @@ from sidonkit import (
     GroundSet,
     MalformedInput,
     NonCanonicalElement,
+    OverflowBudgetExceeded,
     UnsupportedMode,
     affine_image,
     co_sidon_check,
@@ -53,6 +55,40 @@ def test_set_compose_ratio():
     assert ok.elements == (1, 4, 5)  # {1,2,3} / {2} mod 7
     with pytest.raises(UnsupportedMode):
         set_compose(integer_set([1, 2]), integer_set([1, 2]), "ratio")
+
+
+def test_set_compose_matches_oracle():
+    """Every mode each ambient admits (integer ratios aside), with int64
+    codes and with Python-int codes (|x| >= 2^62 or 3_037_000_500, Z/N
+    with N = 2^63 + 2, the plane over F_(2^31 + 11)); an integer set whose
+    composition leaves the element budget raises."""
+    big_n, big_p = 2**63 + 2, 2**31 + 11
+    sets = [
+        integer_set([-7, -3, 0, 1, 2, 5, 9]),
+        integer_set([-2**62 + 1, 2**62 - 1, 0, 1, 5]),
+        integer_set([2**62, -2**62 + 9, 0, 3]),
+        integer_set([-3_037_000_500, 3_037_000_500, -1, 0, 2]),
+        GroundSet.from_iterable(AmbientSpec.mod(12), [0, 3, 4, 6, 11]),
+        GroundSet.from_iterable(AmbientSpec.mod(big_n), [0, 1, big_n // 2, big_n - 1]),
+        GroundSet.from_iterable(AmbientSpec.prime_field(13), [0, 1, 3, 9, 12]),
+        GroundSet.from_iterable(AmbientSpec.plane(5), [(0, 0), (1, 3), (4, 4)]),
+        GroundSet.from_iterable(AmbientSpec.plane(big_p), [(0, 1), (big_p - 1, 0), (3, 3)]),
+    ]
+    for A in sets:
+        amb = A.ambient
+        B = A.restrict(lambda x: x != 0)
+        for mode in amb.modes:
+            if mode == "ratio" and amb.kind == "integers":
+                continue
+            want = sorted({oracle_compose(amb.kind, amb.modulus, mode, a, b)
+                           for a in A for b in B})
+            if amb.kind == "integers" and max(map(abs, want)) > 2**63 - 1:
+                with pytest.raises(OverflowBudgetExceeded):
+                    set_compose(A, B, mode)
+            else:
+                assert list(set_compose(A, B, mode).elements) == want, (amb, mode)
+    with pytest.raises(UnsupportedMode):
+        set_compose(sets[4], sets[4], "product")
 
 
 def test_affine_image_examples():

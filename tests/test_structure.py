@@ -436,6 +436,6 @@ def test_decompose_on_plane_sets():
 
 
 def test_max_degree_vertex_int64_edge():
-    # 2^62 - (-2^62) = 2^63 leaves int64, so this band takes the exact path
+    # 2^62 - (-2^62) = 2^63 leaves int64, so this band is coded with Python ints
     P = integer_set([-2**62, 2**62] + list(range(62)))
     assert _max_degree_vertex(P, {2**63}) == (2**62, 1)
