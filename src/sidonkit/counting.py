@@ -4,19 +4,19 @@ A histogram is two arrays: the distinct codes of the composed values (see
 `codes`) in increasing order and their counts.  The codes are int64 when
 the int64 proof in `codes` holds for the inputs, and Python ints in a
 dtype=object array otherwise, which is much slower: on a 2-CPU VM the
-difference histogram of 600 spread integers takes 0.30-0.36 s with
-+-2^62 among them and 11 ms without.  Composed codes are counted with
+difference histogram of 600 spread integers takes 0.12-0.14 s with
++-2^62 among them and 6-7 ms without.  Composed codes are counted with
 `np.bincount` when their span (max - min + 1) is at most the number of
 pairs, so the count array is never larger than the pair array, and with
-a sort (`np.unique`) otherwise.  Energies are computed from the
-count-of-counts compression with arbitrary-precision arithmetic, so no
-value is ever approximated.
+a sort otherwise (`np.unique` for int64 codes, Python's list sort for
+Python ints).  Energies are computed from the count-of-counts compression
+with arbitrary-precision arithmetic, so no value is ever approximated.
 
 Public functions that ask for the same histogram more than once run under
-`reuses_histograms`: while such a call runs, `rep_histogram` keeps the one
-histogram it built last and returns it again for an equal
-(A, B, mode, skip_noninvertible).  Nothing is kept once the outermost such
-call returns.
+`reuses_histograms`: while such a call runs, `rep_histogram` keeps the two
+histograms it used most recently and returns one of them again for an
+equal (A, B, mode, skip_noninvertible).  Nothing is kept once the
+outermost such call returns.
 """
 
 from __future__ import annotations
@@ -111,6 +111,12 @@ class RepHistogram:
     def values(self):
         return (v for v, _ in self.iter_items())
 
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct value codes in increasing order and their counts,
+        as held: a caller that changes the counts copies them first."""
+        return self._codes, self._counts
+
     def to_counts_dict(self) -> dict:
         return dict(zip(self._decoded(self._codes), self._counts.tolist()))
 
@@ -182,29 +188,37 @@ class RepHistogram:
 def _count_values(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct codes of a fresh code array and their counts; the
     array is consumed.  A span no larger than the array is counted with
-    bincount, whose count array is then no larger than `flat`."""
+    bincount, whose count array is then no larger than `flat`.  Python-int
+    codes are otherwise sorted as a list, several times faster than
+    numpy's sort of an object array, and counted by runs."""
     if not flat.size:
         return flat, np.zeros(0, dtype=np.int64)
     lo, hi = int(flat.min()), int(flat.max())
     if hi - lo + 1 > flat.size:
-        return np.unique(flat, return_counts=True)
+        if flat.dtype != object:
+            return np.unique(flat, return_counts=True)
+        flat = np.array(sorted(flat.tolist()), dtype=object)
+        starts = np.flatnonzero(np.append(True, flat[1:] != flat[:-1]))
+        return flat[starts], np.diff(np.append(starts, flat.size))
     flat -= lo
     counts = np.bincount(flat.astype(np.int64, copy=False))
     vals = np.flatnonzero(counts)
     return vals.astype(flat.dtype, copy=False) + lo, counts[vals]
 
 
-# The reuse slot of the innermost running `reuses_histograms` call: a dict
-# holding at most one histogram under "key" and "hist"; None outside.
+# The reuse slot of the outermost running `reuses_histograms` call: a dict
+# from (A, B, mode, skip_noninvertible) to the histogram, least recently
+# used first, holding at most _REUSE_SIZE of them; None outside.
 _REUSE_SLOT: ContextVar[dict | None] = ContextVar("sidonkit_histogram_reuse", default=None)
+_REUSE_SIZE = 2
 
 
 def reuses_histograms(fn):
     """Run fn with a histogram reuse slot.  While fn runs, `rep_histogram`
-    returns the histogram it built last when asked again for an equal
-    (A, B, mode, skip_noninvertible); any other request clears the slot
-    before building.  Nested calls join the outermost one, whose exit
-    clears the slot."""
+    returns a histogram it used among the last two when asked again for an
+    equal (A, B, mode, skip_noninvertible); any other request drops the
+    least recently used one when the slot is full, before building.
+    Nested calls join the outermost one, whose exit clears the slot."""
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
         if _REUSE_SLOT.get() is not None:
@@ -230,13 +244,15 @@ def rep_histogram(A: GroundSet, B: GroundSet, mode: str,
     slot = _REUSE_SLOT.get()
     key = (A, B, mode, skip_noninvertible)
     if slot is not None:
-        if slot.get("key") == key:
-            return slot["hist"]
-        slot.clear()
+        if key in slot:
+            slot[key] = slot.pop(key)  # now the most recently used
+            return slot[key]
+        while len(slot) >= _REUSE_SIZE:
+            del slot[next(iter(slot))]
     flat, skipped = pair_codes(amb, mode, A.elements, B.elements, skip_noninvertible)
     hist = RepHistogram(amb, mode, *_count_values(flat), flat.size, skipped)
     if slot is not None:
-        slot["key"], slot["hist"] = key, hist
+        slot[key] = hist
     return hist
 
 
@@ -387,8 +403,9 @@ def _matching_poly(paths: np.ndarray, cycle_len: int, cycles: int, kmax: int) ->
     return poly
 
 
-def max_disjoint_pairs(members: frozenset, amb: AmbientSpec, d) -> int:
-    """Largest number of vertex-disjoint pairs {x, x+d}; exact via the
+def max_disjoint_pairs(members, amb: AmbientSpec, d) -> int:
+    """Largest number of vertex-disjoint pairs {x, x+d} among `members`,
+    canonical elements in any order; exact via the
     chain decomposition (greedy matching is optimal on paths and cycles):
     ceil(m/2) pairs on a path with m edges, floor(m/2) on a cycle."""
     if (tuple(d) if isinstance(d, list) else d) == amb.identity(DIFFERENCE):

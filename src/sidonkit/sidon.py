@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ambient import (
     DIFFERENCE,
     INTEGERS,
@@ -25,6 +27,7 @@ from .ambient import (
     compose_value,
     negate,
 )
+from .codes import compose_codes, decode, element_codes
 from .counting import (
     difference_histogram,
     energy_k,
@@ -369,14 +372,18 @@ def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
     """Seeded random extraction of a subset B with certified multiplicity
     bound 3k-3 (difference) or 2k-2 (sum / product).
 
-    Per trial: include each element independently with probability
-    q = min(1, (|A| / 2E)^{1/(2k-1)}), E the k-energy in the given mode;
-    then, while some non-identity value admits k pairwise-disjoint
-    representing pairs (chain matching for differences; the {x, z-x} /
-    {x, z/x} pair families for sums and products, counting the degenerate
-    middle pair so the final bound is unconditional), delete the most
-    entangled participant.  The largest verified survivor across trials is
-    returned; an input already satisfying the bound is returned whole.
+    Trial t keeps each element independently with probability
+    q = min(1, (|A| / 2E)^{1/(2k-1)}), E the k-energy in the given mode,
+    drawing from random.Random(f"{seed}:{t}").  Then, while some value
+    admits k pairwise-disjoint representing pairs (chain matching for
+    differences, the identity exempt; the {x, z-x} / {x, z/x} pair
+    families for sums and products, counting the degenerate middle pair
+    so the final bound is unconditional), the offender with the most
+    ordered pairs, ties to the smallest value, loses its most entangled
+    participant, ties to the smallest element.  This repair runs on the
+    sample's histogram arrays (see `_repair`).  The first largest verified
+    survivor across trials is returned; an input already satisfying the
+    bound is returned whole.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -416,42 +423,52 @@ def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
 
 def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, int]:
     """Delete elements until no value admits k pairwise-disjoint pairs.
-    `sample` is in canonical order, as drawn from A.elements."""
+    `sample` is in canonical order, as drawn from A.elements.
+
+    The state is the sample's histogram as arrays: the value codes, the
+    counts r(v), kept current as elements go, and in sum and product mode
+    the self-pair counts s(v) = #{x : x o x = v}.  The offender is, in sum
+    and product mode, the value with the largest r among those with
+    (r + s) // 2 >= k; in difference mode, the first value in (-r, value)
+    order with r >= k whose chains hold k disjoint pairs.  Ties go to the
+    smallest value, as code order is value order.  A deletion composes the
+    deleted element with the remaining ones and subtracts their pairs."""
     members = list(sample)
     member_set = set(members)
     S = GroundSet.from_iterable(amb, members)
-    counts = rep_histogram(S, S, mode).to_counts_dict()
-    selfcount: dict = {}
+    codes, counts = rep_histogram(S, S, mode).arrays
+    counts = counts.copy()
+    mcodes = element_codes(amb, members, codes.dtype)
     if mode == DIFFERENCE:
-        counts.pop(amb.identity(DIFFERENCE), None)  # the self-pair diagonal
+        counts[codes == 0] = 0  # the identity, code 0, is the self-pair diagonal
     else:
-        for a in members:
-            v = compose_value(amb, mode, a, a)
-            selfcount[v] = selfcount.get(v, 0) + 1
-
-    def disjoint_pairs(v) -> int:
-        if mode == DIFFERENCE:
-            if counts.get(v, 0) < k:
-                return 0
-            return max_disjoint_pairs(frozenset(member_set), amb, v)
-        return (counts.get(v, 0) + selfcount.get(v, 0)) // 2
-
+        selfs = np.zeros_like(counts)
+        diag = element_codes(amb, [compose_value(amb, mode, a, a) for a in members],
+                             codes.dtype)
+        np.add.at(selfs, np.searchsorted(codes, diag), 1)
     deletions = 0
     while True:
-        offender = None
-        for v, c in counts.items():
-            if mode == DIFFERENCE and c < k:
-                continue
-            if disjoint_pairs(v) >= k:
-                if offender is None or c > counts[offender] or (
-                    c == counts[offender] and v < offender
-                ):
-                    offender = v
+        # a difference has at most r disjoint pairs, a sum or product (r + s) // 2
+        live = np.flatnonzero((counts if mode == DIFFERENCE else (counts + selfs) // 2) >= k)
+        live = live[np.argsort(-counts[live], kind="stable")]  # (-r, value) order
+        offender = next((v for v in decode(amb, mode, codes[live])
+                         if mode != DIFFERENCE or max_disjoint_pairs(members, amb, v) >= k), None)
         if offender is None:
             break
         target = _most_entangled(member_set, amb, mode, offender)
-        _remove(target, member_set, amb, mode, counts, selfcount)
-        members.remove(target)
+        j = members.index(target)
+        del members[j]
+        member_set.discard(target)
+        e = mcodes[j:j + 1]
+        mcodes = np.delete(mcodes, j)
+        gone = compose_codes(amb, mode, e, mcodes)  # the pairs (e, b)
+        if mode == DIFFERENCE:  # and (b, e)
+            gone = np.concatenate((gone, compose_codes(amb, mode, mcodes, e)))
+        else:  # and (b, e) with b o e = e o b, and (e, e)
+            diag = compose_codes(amb, mode, e, e)
+            selfs[np.searchsorted(codes, diag)] -= 1
+            gone = np.concatenate((gone, gone, diag))
+        np.subtract.at(counts, np.searchsorted(codes, gone), 1)
         deletions += 1
     return members, deletions
 
@@ -459,65 +476,20 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
 def _most_entangled(member_set: set, amb: AmbientSpec, mode: str, v):
     """Participant of v's pair family lying in the most pairs, ties by
     canonical order."""
-    best = None
-    best_part = -1
-    for x in member_set:
-        if mode == DIFFERENCE:
-            part = 0
-            if compose_value(amb, SUM, x, v) in member_set:
-                part += 1
-            if compose_value(amb, SUM, x, negate(amb, v)) in member_set:
-                part += 1
-        else:
-            part = 1 if _partner(amb, mode, v, x, member_set) else 0
-        if part > best_part or (part == best_part and x < best):
-            if part > 0:
-                best = x
-                best_part = part
-    return best
+    minus = negate(amb, v) if mode == DIFFERENCE else None
 
-
-def _partner(amb: AmbientSpec, mode: str, v, x, member_set) -> bool:
-    """Does x belong to a representing pair of value v?"""
-    if mode == SUM:
-        y = compose_value(amb, DIFFERENCE, v, x)
-        return y in member_set
-    # product: need y in members with x*y = v
-    if amb.kind == INTEGERS:
-        if x == 0:
+    def pairs(x) -> int:
+        if mode == DIFFERENCE:  # {x, x + v} and {x - v, x}
+            return ((compose_value(amb, SUM, x, v) in member_set)
+                    + (compose_value(amb, SUM, x, minus) in member_set))
+        if mode == SUM:
+            return compose_value(amb, DIFFERENCE, v, x) in member_set
+        if x == 0:  # product: 0 * y = 0 for every y
             return v == 0
-        if v % x != 0:
-            return False
-        return v // x in member_set
-    p = amb.modulus
-    if x % p == 0:
-        return v == 0
-    return v * pow(x, -1, p) % p in member_set
-
-
-def _remove(e, member_set: set, amb: AmbientSpec, mode: str,
-            counts: dict, selfcount: dict) -> None:
-    member_set.discard(e)
-    for b in member_set:
-        if mode == DIFFERENCE:
-            for v in (compose_value(amb, DIFFERENCE, e, b),
-                      compose_value(amb, DIFFERENCE, b, e)):
-                counts[v] -= 1
-                if counts[v] == 0:
-                    del counts[v]
-        else:
-            v = compose_value(amb, mode, e, b)
-            counts[v] -= 2
-            if counts[v] == 0:
-                del counts[v]
-    if mode != DIFFERENCE:
-        v = compose_value(amb, mode, e, e)
-        counts[v] -= 1
-        if counts[v] == 0:
-            del counts[v]
-        selfcount[v] -= 1
-        if selfcount[v] == 0:
-            del selfcount[v]
+        if amb.kind == INTEGERS:
+            return v % x == 0 and v // x in member_set
+        return v * pow(x, -1, amb.modulus) % amb.modulus in member_set
+    return min(member_set, key=lambda x: (-pairs(x), x))
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +507,14 @@ def dense_core_extract(A: GroundSet, g: int) -> tuple[GroundSet, dict]:
     hist = difference_histogram(A)
     e_in = hist.energy(g + 1)
     n = len(A)
-    counts = hist.counts([compose_value(amb, DIFFERENCE, x, a) for a in A for x in A])
+    codes, counts = hist.arrays
+    elems = element_codes(amb, A.elements, codes.dtype)
+    # row x, column a: r(x - a), found by one searchsorted as every x - a occurs
+    counts = counts[np.searchsorted(codes, compose_codes(amb, DIFFERENCE, elems, elems))]
     # mass(a) = sum_x r(x - a)^g <= n^(g+1): int64 when that fits, else Python ints
     if n ** (g + 1) >= 2**63:
         counts = counts.astype(object)
-    masses = (counts.reshape(n, n) ** g).sum(axis=1).tolist()
+    masses = (counts.reshape(n, n) ** g).sum(axis=0).tolist()
     core = [a for a, m in zip(A, masses) if 2 * n * m >= e_in]
     core_set = GroundSet.from_iterable(amb, core)
     e_core = difference_histogram(core_set).energy(g + 1) if core else 0

@@ -281,21 +281,20 @@ def _max_degree_vertex(P: GroundSet, good: set):
 
 def _greedy_disjoint_translates(W, H: GroundSet) -> list:
     """Scan W in canonical order, keeping z whenever H+z avoids every
-    translate already kept."""
+    translate already kept.  H+w meets H+z exactly when w - z lies in
+    H - H, so each kept z marks the later elements it blocks with one
+    searchsorted of their differences to z into the codes of H - H."""
     amb = H.ambient
-    dtype = code_dtype(amb, SUM, H.elements, W)
-    h = element_codes(amb, H.elements, dtype)
+    dtype = code_dtype(amb, DIFFERENCE, H.elements, W)
+    diffs = difference_histogram(H).arrays[0].astype(dtype, copy=False)
     w = element_codes(amb, W, dtype)
-    covered = np.empty(0, dtype=dtype)  # codes of the kept translates, sorted
+    free = np.ones(w.size, dtype=bool)
     Z = []
     for i, z in enumerate(W):
-        t = compose_codes(amb, SUM, w[i:i + 1], h)
-        pos = np.searchsorted(covered, t)
-        hit = pos < covered.size
-        hit[hit] = covered[pos[hit]] == t[hit]
-        if not hit.any():
+        if free[i]:
             Z.append(z)
-            covered = np.sort(np.concatenate([covered, t]))
+            d = compose_codes(amb, DIFFERENCE, w[i + 1:], w[i:i + 1])
+            free[i + 1:] &= diffs[np.searchsorted(diffs, d).clip(max=diffs.size - 1)] != d
     return Z
 
 

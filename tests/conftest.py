@@ -269,6 +269,84 @@ def oracle_sid_k_max(kind: str, modulus, mode: str, elements, k: int) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# Seeded extraction oracle, from the documented sampling and repair rules
+
+def _oracle_counts(kind: str, modulus, mode: str, members) -> dict:
+    counts: dict = {}
+    for a in members:
+        for b in members:
+            v = oracle_compose(kind, modulus, mode, a, b)
+            counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def _oracle_meets_bound(kind: str, modulus, mode: str, members, bound: int) -> bool:
+    """Does every value arise from at most `bound` ordered pairs, with the
+    difference identity exempt?"""
+    zero = (0, 0) if kind == "prime-square-plane" else 0
+    return all(c <= bound for v, c in _oracle_counts(kind, modulus, mode, members).items()
+               if not (mode == "difference" and v == zero))
+
+
+def _oracle_repair(kind: str, modulus, mode: str, sample: list, k: int) -> tuple[list, int]:
+    """Delete elements until no value admits k pairwise-disjoint pairs:
+    the offender has the largest count, ties to the smallest value, and the
+    deleted element lies in the most of its pairs, ties to the smallest."""
+    comp = lambda a, b: oracle_compose(kind, modulus, mode, a, b)
+    zero = (0, 0) if kind == "prime-square-plane" else 0
+    members = list(sample)
+    deletions = 0
+    while True:
+        offenders = []
+        for v, c in _oracle_counts(kind, modulus, mode, members).items():
+            if mode == "difference":
+                pairs = 0 if v == zero else oracle_max_disjoint_pairs(kind, modulus, members, v)
+            else:  # the pairs {x, y} with x o y = v, the middle pair {x, x} included
+                pairs = (c + sum(comp(x, x) == v for x in members)) // 2
+            if pairs >= k:
+                offenders.append((-c, v))
+        if not offenders:
+            return members, deletions
+        v = min(offenders)[1]
+        if mode == "difference":  # pairs {x, x + v} and {x - v, x}
+            part = {x: sum(comp(y, x) == v for y in members)
+                    + sum(comp(x, y) == v for y in members) for x in members}
+        else:
+            part = {x: int(any(comp(x, y) == v for y in members)) for x in members}
+        members.remove(min(members, key=lambda x: (-part[x], x)))
+        deletions += 1
+
+
+def oracle_extract(A: GroundSet, k: int, mode: str, seed: int, trials: int) -> dict:
+    """subset, trial_sizes, best_trial and deletions of `extract_random`:
+    an input whose multiplicities meet the bound 3k - 3 (difference,
+    identity exempt) or 2k - 2 is kept whole; otherwise trial t keeps each
+    element with probability q = min(1, (|A| / 2E_k)^(1/(2k-1))) under
+    random.Random(f"{seed}:{t}"), repairs the sample, and the first largest
+    survivor wins."""
+    kind, modulus = A.ambient.kind, A.ambient.modulus
+    elems = list(A.elements)
+    bound = 3 * k - 3 if mode == "difference" else 2 * k - 2
+    whole = {"subset": elems, "trial_sizes": [], "best_trial": None, "deletions": 0}
+    if len(elems) <= 1:
+        return whole
+    if _oracle_meets_bound(kind, modulus, mode, elems, bound):
+        return whole
+    q = min(1.0, (len(elems) / (2.0 * oracle_energy_full(A, k, mode))) ** (1.0 / (2 * k - 1)))
+    best = None
+    sizes = []
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{t}")
+        members, deletions = _oracle_repair(kind, modulus, mode,
+                                            [a for a in elems if rng.random() < q], k)
+        assert _oracle_meets_bound(kind, modulus, mode, members, bound)
+        sizes.append(len(members))
+        if best is None or len(members) > len(best["subset"]):
+            best = {"subset": members, "best_trial": t, "deletions": deletions}
+    return {**best, "trial_sizes": sizes}
+
+
 @pytest.fixture(scope="session")
 def corpus_small():
     return mixed_corpus(20260809, 200, max_size=10)

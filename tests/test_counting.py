@@ -435,11 +435,16 @@ def test_int64_edge_stays_exact():
 
 
 class _BackendSpy:
-    """Stands in for numpy inside `counting` and records which counting
-    routine a histogram used."""
+    """Stands in for numpy and for the builtin `sorted` inside `counting`,
+    and records which counting routine a histogram used: "bincount",
+    "unique", or "sort" for the list sort of Python-int codes."""
 
     def __init__(self):
         self.used = []
+
+    def sorted(self, values):
+        self.used.append("sort")
+        return sorted(values)
 
     def __getattr__(self, name):
         fn = getattr(np, name)
@@ -456,6 +461,7 @@ def _spied_histogram(monkeypatch, A, B, mode, skip_noninvertible=False):
     """(counting routines used, histogram)."""
     spy = _BackendSpy()
     monkeypatch.setattr(counting, "np", spy)
+    monkeypatch.setattr(counting, "sorted", spy.sorted, raising=False)
     hist = rep_histogram(A, B, mode, skip_noninvertible)
     monkeypatch.undo()
     return spy.used, hist
@@ -509,23 +515,23 @@ def test_histogram_backends_agree(monkeypatch):
          None, "difference", "bincount"),
         # Python-int codes: the int64 edge, products at +-3_037_000_500,
         # Z/N with N = 2^63 + 2, and the plane over F_(2^31 + 11)
-        (integer_set([-2**62, 2**62] + list(range(100))), None, "difference", "unique"),
-        (integer_set([-2**62, 2**62] + list(range(100))), None, "sum", "unique"),
+        (integer_set([-2**62, 2**62] + list(range(100))), None, "difference", "sort"),
+        (integer_set([-2**62, 2**62] + list(range(100))), None, "sum", "sort"),
         (integer_set([-3_037_000_500, 3_037_000_500] + list(range(-5, 20))), None, "product",
-         "unique"),
+         "sort"),
         (GroundSet.from_iterable(AmbientSpec.mod(big_n), [0, 1, 2, big_n // 2, big_n - 2,
                                                           big_n - 1]), None, "difference",
-         "unique"),
+         "sort"),
         (GroundSet.from_iterable(AmbientSpec.mod(big_n), [0, 1, 2, big_n // 2, big_n - 2,
-                                                          big_n - 1]), None, "sum", "unique"),
+                                                          big_n - 1]), None, "sum", "sort"),
         (GroundSet.from_iterable(AmbientSpec.plane(big_p), [(0, 0), (0, 1), (1, 1), (big_p - 1, 0),
                                                             (big_p - 1, big_p - 1)]), None,
-         "difference", "unique"),
+         "difference", "sort"),
         # ratios over the integers, below and above 2^31, and over F_13
         # (with 0 only in A: no pair is skipped)
         (integer_set(range(-12, 30)), integer_set(range(1, 25)), "ratio", "unique"),
         (integer_set([-2**40, -3, -1, 1, 2, 6, 2**31, 2**31 + 1, 3 * 2**33]), None, "ratio",
-         "unique"),
+         "sort"),
         (GroundSet.from_iterable(f13, range(13)), GroundSet.from_iterable(f13, range(1, 13)),
          "ratio", "bincount"),
     ]
@@ -609,3 +615,17 @@ def test_histogram_reuse_is_call_scoped():
     assert other is not first and inner is other  # the nested call joined the scope
     assert counting._REUSE_SLOT.get() is None  # nothing held after the call
     assert twice(A)[0] is not first
+
+    @reuses_histograms
+    def alternate(B, C):
+        ab, ac = rep_histogram(A, B, "difference"), rep_histogram(A, C, "difference")
+        hits = [rep_histogram(A, B, "difference") is ab, rep_histogram(A, C, "difference") is ac,
+                rep_histogram(A, B, "difference") is ab]
+        third = rep_histogram(B, C, "difference")  # evicts A - C, the least recently used
+        return hits, [rep_histogram(A, B, "difference") is ab,
+                      rep_histogram(B, C, "difference") is third,
+                      rep_histogram(A, C, "difference") is ac]
+
+    hits, after = alternate(integer_range(5, 50), integer_range(0, 7))
+    assert hits == [True, True, True]
+    assert after == [True, True, False]

@@ -5,7 +5,10 @@ import pytest
 from conftest import (
     bfamily_shift_oracle_violation,
     cayley_rectangle_found,
+    oracle_compose,
+    oracle_extract,
     oracle_fits,
+    oracle_histogram,
     oracle_sid_k_max,
 )
 from sidonkit import (
@@ -269,6 +272,25 @@ def test_dense_core_floor_random():
             assert rep["energy_core"] * 4 ** ((g + 1) ** 2) >= rep["energy_input"]
 
 
+def test_dense_core_matches_oracle():
+    rng = random.Random(211)
+    planes = [(x, y) for x in range(7) for y in range(7)]
+    sets = [integer_set(rng.sample(range(-50, 150), 30)),
+            integer_set([-2**62, 2**62 - 1] + rng.sample(range(100), 20)),  # Python-int codes
+            GroundSet.from_iterable(AmbientSpec.mod(64), rng.sample(range(64), 25)),
+            GroundSet.from_iterable(AmbientSpec.prime_field(61), rng.sample(range(61), 25)),
+            GroundSet.from_iterable(AmbientSpec.plane(7), rng.sample(planes, 20))]
+    for A in sets:
+        kind, modulus = A.ambient.kind, A.ambient.modulus
+        r, _ = oracle_histogram(A, A, "difference")
+        for g in (1, 2, 3):
+            e_in = sum(c ** (g + 1) for c in r.values())
+            want = [a for a in A if 2 * len(A) * sum(
+                r[oracle_compose(kind, modulus, "difference", x, a)] ** g for x in A) >= e_in]
+            core, rep = dense_core_extract(A, g)
+            assert (list(core.elements), rep["energy_input"]) == (want, e_in), (A, g)
+
+
 def test_field_extraction():
     amb = AmbientSpec.prime_field(101)
     A = GroundSet.from_iterable(amb, range(60))
@@ -292,3 +314,25 @@ def test_plane_verifiers_agree():
     m = verify_multiplicity(A, 7)
     fam = verify_bfamily(A, BFamilyParams(2, 7))
     assert (m is None) == (fam is None)
+
+
+def test_extract_random_matches_repair_oracle():
+    # 10-16 seeded elements keep the oracle's literal energy enumeration fast
+    planes = [(x, y) for x in range(11) for y in range(11)]
+    cases = [(AmbientSpec.integers(), range(-40, 200), ("difference", "sum", "product")),
+             (AmbientSpec.mod(120), range(120), ("difference", "sum")),
+             (AmbientSpec.prime_field(101), range(101), ("difference", "sum", "product")),
+             (AmbientSpec.plane(11), planes, ("difference", "sum"))]
+    deletions = dict.fromkeys(("difference", "sum", "product"), 0)
+    for amb, pool, modes in cases:
+        for mode in modes:
+            for seed in range(5):
+                rng = random.Random(f"{amb.kind}:{mode}:{seed}")
+                A = GroundSet.from_iterable(amb, rng.sample(list(pool), rng.randint(10, 16)))
+                got = extract_random(A, 2, mode, seed=seed, trials=20)
+                want = oracle_extract(A, 2, mode, seed, 20)
+                assert (list(got.subset.elements), list(got.trial_sizes), got.best_trial,
+                        got.deletions) == (want["subset"], want["trial_sizes"],
+                                           want["best_trial"], want["deletions"]), (A, mode, seed)
+                deletions[mode] += got.deletions
+    assert all(n > 0 for n in deletions.values()), deletions

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_compose
 from sidonkit import (
     AmbientSpec,
     CapExceeded,
@@ -25,9 +26,11 @@ from sidonkit import (
     verify_multiplicity,
     verify_pipeline_report,
 )
+from sidonkit import counting
 from sidonkit.counting import kappa_of
 from sidonkit.structure import (
     MAX_DENOMINATOR,
+    _greedy_disjoint_translates,
     _max_degree_vertex,
     ceil_power,
     power_at_most,
@@ -439,3 +442,78 @@ def test_max_degree_vertex_int64_edge():
     # 2^62 - (-2^62) = 2^63 leaves int64, so this band is coded with Python ints
     P = integer_set([-2**62, 2**62] + list(range(62)))
     assert _max_degree_vertex(P, {2**63}) == (2**62, 1)
+
+
+def _oracle_greedy_translates(amb: AmbientSpec, W, H) -> list:
+    """Keep z of W, scanned in canonical order, when the explicit set H + z
+    avoids every translate kept so far."""
+    kept, covered = [], set()
+    for z in W:
+        translate = {oracle_compose(amb.kind, amb.modulus, "sum", h, z) for h in H}
+        if covered.isdisjoint(translate):
+            kept.append(z)
+            covered |= translate
+    return kept
+
+
+def test_greedy_disjoint_translates_against_brute_force():
+    rng = random.Random(71)
+    cases = [(AmbientSpec.integers(), range(-300, 300), 60),
+             (AmbientSpec.mod(40), range(40), 30),  # translates wrap around N
+             (AmbientSpec.prime_field(61), range(61), 40),
+             (AmbientSpec.plane(7), [(x, y) for x in range(7) for y in range(7)], 30)]
+    for amb, pool, size in cases:
+        for _ in range(8):
+            H = GroundSet.from_iterable(amb, rng.sample(list(pool), rng.randint(1, 6)))
+            W = sorted(rng.sample(list(pool), size))
+            want = _oracle_greedy_translates(amb, W, H.elements)
+            assert _greedy_disjoint_translates(W, H) == want, (amb, H, W)
+    # differences up to 2^63 leave int64, so these codes are Python ints
+    H = integer_set([0, 1, 2**62])
+    W = [-2**62, -1, 0, 1, 2**62 - 1, 2**62]
+    assert _greedy_disjoint_translates(W, H) == _oracle_greedy_translates(
+        H.ambient, W, H.elements) == [-2**62, 1, 2**62 - 1]
+
+
+def _ap_union_set(seed: int) -> GroundSet:
+    """Two to four progressions of seeded starts, steps and lengths, plus
+    seeded noise, all below 10^6."""
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        start, step = rng.randrange(10**6), rng.choice([1, 2, 3, 5, 7, 13, 100])
+        parts += [start + step * i for i in range(rng.randint(20, 200))]
+    return integer_set(parts + rng.sample(range(10**6), rng.randint(0, 100)))
+
+
+def test_rigid_translates_match_brute_force_when_h_is_not_the_band():
+    A = _ap_union_set(44)
+    cert = rigid_structure(A, Fraction(1, 4), Fraction(1, 16))
+    H = cert.rigid["H"]
+    assert len(H) < len(cert.core["band"])  # H is a proper part of P
+    members = A.members
+    masses = {a: sum(a + h in members for h in H) for a in A}  # |A ^ (H + a)|
+    total = sum(masses.values())
+    W = [a for a in A if 2 * len(A) * masses[a] >= total]
+    assert len(W) == cert.rigid["W_size"]
+    assert cert.rigid["Z"] == _oracle_greedy_translates(A.ambient, W, H)
+    assert len(cert.rigid["Z"]) >= 2
+
+
+def test_verify_rigid_certificate_builds_each_histogram_once(monkeypatch):
+    A = integer_range(1, 257)
+    cert = rigid_structure(A, Fraction(1, 4), Fraction(1, 16))
+    band = tuple(cert.core["band"])
+    assert cert.rigid["H"] == cert.core["band"]  # H = P
+    built = []
+    real = counting.pair_codes
+
+    def spy(amb, mode, left, right, *rest):
+        built.append((left, right, mode))
+        return real(amb, mode, left, right, *rest)
+
+    monkeypatch.setattr(counting, "pair_codes", spy)
+    assert verify_certificate(A, cert) == []
+    assert built.count((A.elements, band, "difference")) == 1  # A - P
+    assert built.count((band, band, "difference")) == 1  # P - P
+    assert len(built) == len(set(built))
