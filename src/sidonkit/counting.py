@@ -95,14 +95,12 @@ class RepHistogram:
     def count(self, value) -> int:
         return int(self.counts([value])[0])
 
-    def _by_value(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The codes and `counts` (one per code) in increasing value order."""
-        order = value_order(self.ambient, self.mode, self._codes)
-        return (self._codes, counts) if order is None else (self._codes[order], counts[order])
-
     def iter_items(self):
         """(value, count) pairs in canonical value order."""
-        codes, counts = self._by_value(self._counts)
+        codes, counts = self._codes, self._counts
+        order = value_order(self.ambient, self.mode, codes)
+        if order is not None:
+            codes, counts = codes[order], counts[order]
         return zip(self._decoded(codes), counts.tolist())
 
     def items(self):
@@ -152,17 +150,26 @@ class RepHistogram:
 
     def max_count(self, exclude_values=()):
         """(value, count) with the largest count outside the excluded values,
-        ties broken by canonical value order; None on empty support."""
-        cnts = self._counts
-        excluded = self._excluded(exclude_values)
-        if excluded.size:
-            cnts = cnts.copy()
-            cnts[excluded] = 0
-        if not cnts.any():
+        ties broken by canonical value order; None on empty support.  The
+        counts are scanned as views between the excluded positions, so
+        nothing of the histogram's size is copied."""
+        codes, cnts = self._codes, self._counts
+        cuts = self._excluded(exclude_values).tolist()
+        parts = [(lo, cnts[lo:hi]) for lo, hi in zip([0] + [c + 1 for c in cuts],
+                                                     cuts + [cnts.size]) if lo < hi]
+        maxima = [int(part.max()) for _, part in parts]
+        best = max(maxima, default=0)
+        if not best:
             return None  # empty support, or every value excluded
-        codes, cnts = self._by_value(cnts)
-        idx = int(np.argmax(cnts))  # the first maximum is the smallest value
-        return self._decoded(codes[idx:idx + 1])[0], int(cnts[idx])
+        if value_order(self.ambient, self.mode, codes[:0]) is None:
+            # code order is value order (all but integer ratios): the first
+            # maximum of the first part that holds one
+            lo, part = next(p for p, m in zip(parts, maxima) if m == best)
+            idx = lo + int(np.argmax(part))
+        else:
+            ties = np.concatenate([lo + np.flatnonzero(part == best) for lo, part in parts])
+            idx = int(ties[value_order(self.ambient, self.mode, codes[ties])[0]])
+        return self._decoded(codes[idx:idx + 1])[0], best
 
     def to_dict(self, max_entries: int = 100_000) -> dict:
         if self.support_size > max_entries:
@@ -408,9 +415,14 @@ def max_disjoint_pairs(members, amb: AmbientSpec, d) -> int:
     canonical elements in any order; exact via the
     chain decomposition (greedy matching is optimal on paths and cycles):
     ceil(m/2) pairs on a path with m edges, floor(m/2) on a cycle."""
+    return _disjoint_pairs(_chain_codes(amb, sorted(members)), amb, d)
+
+
+def _disjoint_pairs(codes: np.ndarray, amb: AmbientSpec, d) -> int:
+    """`max_disjoint_pairs` of the members whose `_chain_codes` are `codes`."""
     if (tuple(d) if isinstance(d, list) else d) == amb.identity(DIFFERENCE):
         return 0  # no pair {x, x} has two elements
-    paths, cycle_len, cycles = _chains(_chain_codes(amb, sorted(members)), amb, d)
+    paths, cycle_len, cycles = _chains(codes, amb, d)
     return int(((paths + 1) // 2).sum()) + cycles * (cycle_len // 2)
 
 

@@ -29,9 +29,10 @@ from .ambient import (
 )
 from .codes import compose_codes, decode, element_codes
 from .counting import (
+    _chain_codes,
+    _disjoint_pairs,
     difference_histogram,
     energy_k,
-    max_disjoint_pairs,
     rep_histogram,
     reuses_histograms,
 )
@@ -315,6 +316,11 @@ def sid_k_exact(A: GroundSet, k: int, mode: str = DIFFERENCE,
 # ---------------------------------------------------------------------------
 # Random extraction
 
+# Largest trial count `extract_random` admits: each trial samples A and
+# runs the repair loop, so the work grows with the count.
+MAX_TRIALS = 1000
+
+
 @dataclass(frozen=True)
 class ExtractionResult:
     subset: GroundSet
@@ -362,8 +368,13 @@ def bound_holds(S: GroundSet, mode: str, bound: int) -> bool:
 
 
 def sampling_rate(size: int, energy: int, k: int) -> float:
-    """Inclusion probability q = min(1, (|A| / 2E)^{1/(2k-1)})."""
-    return min(1.0, (size / (2.0 * energy)) ** (1.0 / (2 * k - 1)))
+    """Inclusion probability q = min(1, (|A| / 2E)^{1/(2k-1)}), in floats;
+    an E beyond the float range raises `CapExceeded`."""
+    try:
+        return min(1.0, (size / (2.0 * energy)) ** (1.0 / (2 * k - 1)))
+    except OverflowError:
+        raise CapExceeded(f"E_{k} has {energy.bit_length()} bits, beyond the float "
+                          f"range of the sampling rate") from None
 
 
 @reuses_histograms
@@ -383,20 +394,23 @@ def extract_random(A: GroundSet, k: int, mode: str = DIFFERENCE,
     participant, ties to the smallest element.  This repair runs on the
     sample's histogram arrays (see `_repair`).  The first largest verified
     survivor across trials is returned; an input already satisfying the
-    bound is returned whole.
+    bound is returned whole.  More than `MAX_TRIALS` trials, or an E
+    beyond the float range of q, raise `CapExceeded`.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if mode not in (DIFFERENCE, SUM, PRODUCT):
         raise UnsupportedMode(f"extraction mode must be difference/sum/product, got {mode!r}")
+    if trials > MAX_TRIALS:
+        raise CapExceeded(f"trials = {trials} exceeds {MAX_TRIALS}")
     amb = A.ambient
     bound = certified_bound(k, mode)
     if len(A) <= 1:
         return ExtractionResult(A, mode, k, bound, 1.0, seed, 0, 0, True)
     energy = energy_k(A, k, mode).value
-    q = sampling_rate(len(A), energy, k)
     if bound_holds(A, mode, bound):
         return ExtractionResult(A, mode, k, bound, 1.0, seed, 0, 0, True, energy=energy)
+    q = sampling_rate(len(A), energy, k)
 
     best_members: tuple = ()
     best_trial = None
@@ -430,7 +444,8 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
     the self-pair counts s(v) = #{x : x o x = v}.  The offender is, in sum
     and product mode, the value with the largest r among those with
     (r + s) // 2 >= k; in difference mode, the first value in (-r, value)
-    order with r >= k whose chains hold k disjoint pairs.  Ties go to the
+    order with r >= k whose chains hold k disjoint pairs, the remaining
+    elements being encoded for the chains once per deletion.  Ties go to the
     smallest value, as code order is value order.  A deletion composes the
     deleted element with the remaining ones and subtracts their pairs."""
     members = list(sample)
@@ -451,8 +466,9 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
         # a difference has at most r disjoint pairs, a sum or product (r + s) // 2
         live = np.flatnonzero((counts if mode == DIFFERENCE else (counts + selfs) // 2) >= k)
         live = live[np.argsort(-counts[live], kind="stable")]  # (-r, value) order
+        chain = _chain_codes(amb, members) if mode == DIFFERENCE and live.size else None
         offender = next((v for v in decode(amb, mode, codes[live])
-                         if mode != DIFFERENCE or max_disjoint_pairs(members, amb, v) >= k), None)
+                         if mode != DIFFERENCE or _disjoint_pairs(chain, amb, v) >= k), None)
         if offender is None:
             break
         target = _most_entangled(member_set, amb, mode, offender)

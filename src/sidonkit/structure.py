@@ -7,6 +7,10 @@ threshold comparisons (rational exponents cleared by cross-multiplied
 integer powers), and explicit sets.  Heuristic quantities (everything
 downstream of the popularity-graph clustering) are labelled measured and
 carry no guarantee beyond recomputability and translate disjointness.
+
+Verification re-runs the producer: a certificate is derived again with
+its own delta and eps, a pipeline report with its own parameters (the
+seeded extraction trials included), and every field must match.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .codes import code_dtype, compose_codes, element_codes
 from .counting import (
     difference_histogram,
     dyadic_best_level,
-    energy_k,
     kappa_of,
     rep_histogram,
     reuses_histograms,
@@ -47,14 +50,7 @@ from .errors import (
     UnsupportedMode,
 )
 from .groundset import GroundSet
-from .sidon import (
-    ExtractionResult,
-    _jsonable,
-    bound_holds,
-    certified_bound,
-    extract_random,
-    sampling_rate,
-)
+from .sidon import ExtractionResult, _jsonable, bound_holds, extract_random
 
 FORMAT_VERSION = 1
 
@@ -65,6 +61,11 @@ FORMAT_VERSION = 1
 # bound, deriving and verifying a certificate for [1, 4096] takes 0.7-0.9 s
 # on a 2-CPU VM (1.5-2 s at twice the bound).
 MAX_DENOMINATOR = 2**16
+
+# Largest l_max that `sum_product_pipeline` admits: the kappa table holds
+# one multiplicative energy per order up to l_max, each a sum of powers
+# of that order.
+MAX_ORDER = 64
 
 SMALL_ENERGY = "small-energy"
 POPULAR_CORE = "popular-core"
@@ -413,13 +414,20 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
     energy of the structured core is measured at orders 2..l_max and the
     product-mode extraction runs at the order with the smallest
     multiplicative kappa.  The delta parameter is fixed at 1/4.
+
+    The multiplicative core is (H + Z) ^ A for a rigid certificate and
+    the heavy-mass core otherwise, with zero removed.  An l_max above
+    `MAX_ORDER` raises `CapExceeded`.
     """
-    if A.ambient.kind not in (INTEGERS, PRIME_FIELD):
+    amb = A.ambient
+    if amb.kind not in (INTEGERS, PRIME_FIELD):
         raise UnsupportedMode("pipeline runs over the integers or a prime field")
     if core_variant not in ("rigid", "popular"):
         raise ValueError("core_variant must be 'rigid' or 'popular'")
-    if A.ambient.kind == PRIME_FIELD and len(A) ** 2 >= A.ambient.modulus:
+    if amb.kind == PRIME_FIELD and len(A) ** 2 >= amb.modulus:
         raise PreconditionFailed("prime-field pipeline requires |A| < sqrt(p)")
+    if l_max > MAX_ORDER:
+        raise CapExceeded(f"l_max = {l_max} exceeds {MAX_ORDER}")
     eps = as_fraction(eps)
     params = {"delta": "1/4", "eps": str(eps), "seed": seed, "trials": trials,
               "core_variant": core_variant, "l_max": l_max}
@@ -438,44 +446,29 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
             cert = rigid_structure(A, Fraction(1, 4), eps, certificate=cert)
         except EmptyCore:
             pass  # degenerate one-element band: keep the heavy-mass core
-    core, zero_removed = _pipeline_core(A, cert)
-    if len(core) < 2:
-        return PipelineReport(MULTIPLICATIVE_BRANCH, cert, core, None, core_set=core,
-                              zero_removed=zero_removed, sqrt_target=target,
-                              degenerate=True, parameters=params)
-    kappa_table, chosen_l = _kappa_table(core, l_max)
-    ext = extract_random(core, chosen_l, PRODUCT, seed=seed, trials=trials)
-    return PipelineReport(MULTIPLICATIVE_BRANCH, cert, ext.subset, ext,
-                          core_set=core, zero_removed=zero_removed,
-                          kappa_table=kappa_table, chosen_l=chosen_l,
-                          sqrt_target=target, parameters=params)
-
-
-def _pipeline_core(A: GroundSet, cert: StructureCertificate) -> tuple[GroundSet, bool]:
-    """The multiplicative branch's core: (H + Z) ^ A for a rigid
-    certificate, the heavy-mass core otherwise, with zero removed; and
-    whether zero was removed."""
-    amb = A.ambient
     if cert.variant == RIGID_STRUCTURE:
         core = rigid_core_set(A, cert)
     else:
         core = GroundSet.from_iterable(amb, _as_elements(amb, cert.core["core"]))
     zero = amb.identity(DIFFERENCE)
-    if zero not in core.members:
-        return core, False
-    return core.restrict(lambda x: x != zero), True
-
-
-def _kappa_table(core: GroundSet, l_max: int) -> tuple[dict, int]:
-    """Multiplicative kappa at orders 2..l_max, and the order with the
-    smallest kappa (ties to the smaller order)."""
+    zero_removed = zero in core.members
+    if zero_removed:
+        core = core.restrict(lambda x: x != zero)
+    if len(core) < 2:
+        return PipelineReport(MULTIPLICATIVE_BRANCH, cert, core, None, core_set=core,
+                              zero_removed=zero_removed, sqrt_target=target,
+                              degenerate=True, parameters=params)
+    if l_max < 2:
+        raise ValueError("l_max below 2 leaves no multiplicative order")
     multiset = rep_histogram(core, core, PRODUCT).count_multiset()
-    kappa_table = {}
-    for l in range(2, l_max + 1):
-        e_l = sum(mult * c**l for c, mult in multiset.items())
-        kappa_table[l] = kappa_of(e_l, len(core), l)
-    chosen_l = min(kappa_table, key=lambda l: (kappa_table[l], l))
-    return kappa_table, chosen_l
+    kappa_table = {l: kappa_of(sum(mult * c**l for c, mult in multiset.items()), len(core), l)
+                   for l in range(2, l_max + 1)}
+    chosen_l = min(kappa_table, key=lambda l: (kappa_table[l], l))  # ties to the smaller
+    ext = extract_random(core, chosen_l, PRODUCT, seed=seed, trials=trials)
+    return PipelineReport(MULTIPLICATIVE_BRANCH, cert, ext.subset, ext,
+                          core_set=core, zero_removed=zero_removed,
+                          kappa_table=kappa_table, chosen_l=chosen_l,
+                          sqrt_target=target, parameters=params)
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +493,24 @@ def _mismatches(expected: dict, stored, prefix: str = "") -> list[str]:
     return issues
 
 
-def _translates_disjoint(amb: AmbientSpec, H, Z) -> bool:
-    """Are the translates H + z, z in Z, pairwise disjoint?"""
-    H = _as_elements(amb, H)
-    covered: set = set()
-    for z in _as_elements(amb, Z):
-        translate = {compose_value(amb, SUM, h, z) for h in H}
-        if not covered.isdisjoint(translate):
-            return False
-        covered |= translate
-    return True
+def _certificate_guarantees(amb: AmbientSpec, cert: dict) -> list[str]:
+    """The stated guarantees of a serialized certificate, checked by code
+    far simpler than its derivation: the core holds at least half of the
+    translate mass, and the translates H + z are pairwise disjoint."""
+    issues = []
+    core, rigid = cert.get("core"), cert.get("rigid")
+    if core is not None and 2 * core["core_mass"] < core["mass_total"]:
+        issues.append("half-mass property fails")
+    if rigid is not None:
+        H = _as_elements(amb, rigid["H"])
+        covered: set = set()
+        for z in _as_elements(amb, rigid["Z"]):
+            translate = {compose_value(amb, SUM, h, z) for h in H}
+            if not covered.isdisjoint(translate):
+                issues.append("translates of H are not pairwise disjoint")
+                break
+            covered |= translate
+    return issues
 
 
 @reuses_histograms
@@ -520,11 +521,9 @@ def verify_certificate(A: GroundSet, cert: StructureCertificate) -> list[str]:
     means the certificate verifies.
 
     The derivation is the producer itself (`energy_gap_decompose`, then
-    `rigid_structure` for a rigid certificate).  Two stated guarantees are
-    then checked by code far simpler than the derivation: the core holds
-    at least half of the translate mass, and the translates H + z are
-    pairwise disjoint.  Unreadable parameters, and parameters or sets the
-    producer refuses, come back as mismatches.
+    `rigid_structure` for a rigid certificate).  The stated guarantees are
+    then checked by `_certificate_guarantees`.  Unreadable parameters, and
+    parameters or sets the producer refuses, come back as mismatches.
     """
     try:
         delta = as_fraction(cert.parameters["delta"])
@@ -539,31 +538,24 @@ def verify_certificate(A: GroundSet, cert: StructureCertificate) -> list[str]:
         return [f"no certificate derives from A and these parameters: {exc}"]
     # a payload the derivation leaves out must be absent from the certificate
     expected = {"small": None, "core": None, "rigid": None, **derived.to_json_dict()}
-    issues = _mismatches(expected, cert.to_json_dict())
-    if issues or cert.core is None:
-        return issues
-    if 2 * cert.core["core_mass"] < cert.core["mass_total"]:
-        issues.append("half-mass property fails")
-    if cert.rigid is not None and not _translates_disjoint(A.ambient, cert.rigid["H"],
-                                                           cert.rigid["Z"]):
-        issues.append("translates of H are not pairwise disjoint")
-    return issues
+    stored = cert.to_json_dict()
+    return _mismatches(expected, stored) or _certificate_guarantees(A.ambient, stored)
 
 
 @reuses_histograms
 def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
-    """Recompute a serialized pipeline report from A, its parameters and
-    its certificate; returns the list of mismatches (empty = verifies).
+    """A pipeline report is valid only when it matches, field for field,
+    the report `sum_product_pipeline` derives from A with the report's own
+    parameters, the seeded extraction trials included.  Returns the
+    mismatches, each naming its key in full, such as
+    `certificate.core.mass_total` or `extraction.deletions`; an empty list
+    means the report verifies.
 
-    Checked: the embedded certificate, and that it was made with delta 1/4
-    and the report's eps; the branch; the parameters; the structured core
-    with its zero removal; the multiplicative kappa table and chosen order;
-    the degenerate flag; the extraction's order, mode, bound, energy,
-    sampling rate q, seed and trial count; the subset's containment and
-    certified bound; and the size comparison.  The extraction trials are
-    not re-run, so `trial_sizes` and `best_trial` are checked for
-    consistency only: one size per trial, and `best_trial` is the first
-    maximum and equals `subset_size`.
+    The stated guarantees are then checked directly: the subset lies in A
+    and meets the extraction's certified bound, and the embedded
+    certificate passes `_certificate_guarantees`.  An unreadable subset or
+    parameters, and parameters or sets the producer refuses, come back as
+    mismatches.
     """
     subset_dict = report_dict.get("subset")
     if subset_dict is None:
@@ -585,65 +577,19 @@ def verify_pipeline_report(A: GroundSet, report_dict: dict) -> list[str]:
     if not (all(isinstance(x, int) for x in (seed, trials, l_max))
             and core_variant in ("rigid", "popular")):
         return issues + ["parameters out of range"]
-    n = len(A)
-    target = ceil_sqrt(n)
-    expected = {
-        "format_version": FORMAT_VERSION, "kind": "pipeline-report",
-        "parameters": {"delta": "1/4", "eps": str(eps), "seed": seed, "trials": trials,
-                       "core_variant": core_variant, "l_max": l_max},
-        "core_set": None, "zero_removed": False, "kappa_table": {}, "chosen_l": None,
-        "degenerate": False, "subset_size": len(subset), "sqrt_target": target,
-        "meets_sqrt_target": len(subset) >= target, "verified": True,
-    }
-    source, k, mode = A, None, None  # extraction input, order and mode
-    if n < 4:
-        expected.update(branch="degenerate", certificate=None, extraction=None,
-                        degenerate=True)
-    else:
-        cert_dict = report_dict.get("certificate")
-        if not isinstance(cert_dict, dict):
-            return issues + ["missing certificate"]
-        try:
-            cert = StructureCertificate.from_json_dict(cert_dict)
-        except ValueError as exc:
-            return issues + [f"unreadable certificate: {exc}"]
-        cert_issues = verify_certificate(A, cert)
-        if cert_issues:
-            return issues + cert_issues
-        if (cert.parameters.get("delta"), cert.parameters.get("eps")) != ("1/4", str(eps)):
-            issues.append("certificate not made with delta 1/4 and the report's eps")
-        if cert.variant == SMALL_ENERGY:
-            expected["branch"] = ADDITIVE_BRANCH
-            k, mode = cert.small["k"], DIFFERENCE
-        else:
-            expected["branch"] = MULTIPLICATIVE_BRANCH
-            band_size = len(cert.core["band"])
-            rigid = core_variant == "rigid" and band_size >= 2
-            if (cert.variant == RIGID_STRUCTURE) != rigid:
-                issues.append(f"certificate variant {cert.variant!r} does not follow "
-                              f"core variant {core_variant!r} and band size {band_size}")
-            source, zero_removed = _pipeline_core(A, cert)
-            expected.update(core_set=source.to_dict() if source else None,
-                            zero_removed=zero_removed)
-            if len(source) < 2:
-                expected.update(degenerate=True, extraction=None)
-            elif l_max < 2:
-                return issues + ["l_max below 2 leaves no multiplicative order"]
-            else:
-                kappa_table, k = _kappa_table(source, l_max)
-                expected.update(kappa_table={str(l): v for l, v in kappa_table.items()},
-                                chosen_l=k)
-                mode = PRODUCT
-    issues += _mismatches(expected, report_dict)
-    if mode is None:
-        if subset != source:
-            issues.append("subset is not the whole input of a run without extraction")
+    try:
+        derived = sum_product_pipeline(A, eps, seed, trials, core_variant, l_max)
+    except (PreconditionFailed, CapExceeded, UnsupportedMode, ValueError) as exc:
+        return issues + [f"no report derives from A and these parameters: {exc}"]
+    issues += _mismatches(derived.to_json_dict(), report_dict)
+    if issues:
         return issues
-    ext = report_dict.get("extraction")
-    if not isinstance(ext, dict):
-        return issues + ["missing extraction"]
-    return issues + _verify_extraction(source, k, mode, seed, trials, ext,
-                                       subset_dict, subset)
+    ext = derived.extraction
+    if ext is not None and not bound_holds(subset, ext.mode, ext.bound):
+        issues.append("subset fails its certified bound")
+    if derived.certificate is not None:
+        issues += _certificate_guarantees(A.ambient, report_dict["certificate"])
+    return issues
 
 
 def _read_subset(amb: AmbientSpec, subset_dict) -> GroundSet:
@@ -661,32 +607,3 @@ def _read_subset(amb: AmbientSpec, subset_dict) -> GroundSet:
     if _elements_list(subset.elements) != raw:
         raise NonCanonicalElement("subset elements are not sorted, distinct and canonical")
     return subset
-
-
-def _verify_extraction(source: GroundSet, k: int, mode: str, seed: int, trials: int,
-                       ext: dict, subset_dict: dict, subset: GroundSet) -> list[str]:
-    """Recompute an extraction's deterministic fields from its input; the
-    trials themselves are checked for consistency only."""
-    issues = []
-    bound = certified_bound(k, mode)
-    energy = energy_k(source, k, mode).value
-    expected = {"mode": mode, "k": k, "bound": bound, "energy": energy, "seed": seed,
-                "verified": True, "subset": subset_dict, "subset_size": len(subset)}
-    if bound_holds(source, mode, bound):
-        expected.update(q=1.0, trials=0, deletions=0, trial_sizes=[], best_trial=None)
-        if subset != source:
-            issues.append("extraction input already meets its bound but was not kept whole")
-    else:
-        expected.update(q=sampling_rate(len(source), energy, k), trials=trials)
-        sizes, best = ext.get("trial_sizes"), ext.get("best_trial")
-        if not (isinstance(sizes, list) and len(sizes) == trials
-                and all(isinstance(x, int) for x in sizes)
-                and best == (sizes.index(max(sizes)) if sizes else None)
-                and len(subset) == (max(sizes) if sizes else 0)):
-            issues.append("trial_sizes and best_trial are inconsistent with the subset")
-    issues += _mismatches(expected, ext, "extraction.")
-    if not subset.members <= source.members:
-        issues.append("subset is not contained in the extraction input")
-    if not bound_holds(subset, mode, bound):
-        issues.append("extraction subset fails its certified bound")
-    return issues

@@ -203,3 +203,12 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pipeline" in proc.stdout
+
+
+def test_unbounded_orders_exit_cleanly(set_file, capsys):
+    path = set_file(integer_range(1, 257))
+    for argv in (["pipeline", "--set", path, "--lmax", "400"],
+                 ["extract", "--set", path, "--k", "400", "--mode", "product"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code in (0, 3), argv
+        assert "Traceback" not in err, argv

@@ -25,6 +25,7 @@ from sidonkit import (
     verify_bfamily,
     verify_multiplicity,
 )
+from sidonkit.sidon import MAX_TRIALS
 
 
 def test_verify_multiplicity_examples():
@@ -247,6 +248,17 @@ def test_extract_random_deterministic():
     assert r1.subset == r2.subset and r1.trial_sizes == r2.trial_sizes
     r3 = extract_random(A, 2, "difference", seed=10, trials=8)
     assert r3.trial_sizes != r1.trial_sizes
+
+
+def test_extract_random_caps():
+    with pytest.raises(CapExceeded):
+        extract_random(integer_range(0, 64), 2, trials=MAX_TRIALS + 1)
+    # the bound 798 holds for the whole set, so no sampling rate is needed
+    A = integer_range(1, 257)
+    res = extract_random(A, 400, "product")
+    assert res.subset == A and res.q == 1.0 and res.trials == 0
+    with pytest.raises(CapExceeded):  # E_150 > 2^1024, beyond the float range of q
+        extract_random(integer_range(1, 1025), 150, "difference")
 
 
 def test_dense_core_examples():

@@ -30,6 +30,7 @@ from sidonkit import counting
 from sidonkit.counting import kappa_of
 from sidonkit.structure import (
     MAX_DENOMINATOR,
+    MAX_ORDER,
     _greedy_disjoint_translates,
     _max_degree_vertex,
     ceil_power,
@@ -296,6 +297,10 @@ def test_pipeline_report_tampering_detected():
     ext = report["extraction"]
     assert ext["trials"] == 20 and ext["q"] < 1  # the trials ran
     sizes = ext["trial_sizes"]
+    # another seed's subset, valid for its own report and of the same size
+    other = sum_product_pipeline(A, seed=11).to_json_dict()["subset"]
+    assert other != report["subset"] and len(other["elements"]) == report["subset_size"]
+    low = next(i for i, size in enumerate(sizes) if size < max(sizes))
 
     def drop_last(d):
         return dict(d, elements=d["elements"][:-1])
@@ -321,6 +326,12 @@ def test_pipeline_report_tampering_detected():
             trial_sizes=[max(sizes)] + sizes[1:]),
         "extraction.best_trial": lambda r: r["extraction"].update(
             best_trial=r["extraction"]["best_trial"] + 1),
+        "subset of another seed": lambda r: (r.update(subset=other),
+                                             r["extraction"].update(subset=other)),
+        "extraction.deletions": lambda r: r["extraction"].update(
+            deletions=r["extraction"]["deletions"] + 1),
+        "extraction.trial_sizes non-maximal entry": lambda r: r["extraction"].update(
+            trial_sizes=sizes[:low] + [sizes[low] - 1] + sizes[low + 1:]),
     }
     for name, tamper in tampers.items():
         copy = json.loads(json.dumps(report))
@@ -372,11 +383,17 @@ def test_parameter_denominators_capped():
         energy_gap_decompose(A, Fraction(MAX_DENOMINATOR, MAX_DENOMINATOR + 1), Fraction(1, 4))
     with pytest.raises(CapExceeded):
         sum_product_pipeline(integer_range(1, 65), eps=Fraction(1, 10**9))
+    rep = sum_product_pipeline(integer_range(1, 65), seed=1, trials=2, l_max=MAX_ORDER)
+    assert max(rep.kappa_table) == MAX_ORDER
+    with pytest.raises(CapExceeded):
+        sum_product_pipeline(integer_range(1, 65), l_max=MAX_ORDER + 1)
 
 
 def test_huge_delta_denominator_refused_quickly():
     """A certificate tampered to delta = (10^9 - 1)/10^9 would ask for E_l
-    to the power 10^9; it is refused as a mismatch instead."""
+    to the power 10^9, and a pipeline report tampered to unbounded
+    parameters would run for minutes; each is refused as a mismatch
+    instead."""
     A = integer_range(0, 64)
     cert = energy_gap_decompose(A, Fraction(1, 2), Fraction(1, 4)).to_json_dict()
     cert["parameters"]["delta"] = str(Fraction(10**9 - 1, 10**9))
@@ -389,6 +406,14 @@ def test_huge_delta_denominator_refused_quickly():
     assert time.perf_counter() - start < 1.0
     report = json.loads(json.dumps(sum_product_pipeline(integer_range(1, 129),
                                                         seed=7).to_json_dict()))
+    # 10^7 extraction trials or l_max = 10^5 would re-derive for minutes
+    for key, value in (("trials", 10**7), ("l_max", 10**5)):
+        copy = json.loads(json.dumps(report))
+        copy["parameters"][key] = value
+        start = time.perf_counter()
+        issues = verify_pipeline_report(integer_range(1, 129), copy)
+        assert issues and "exceeds" in issues[0], key
+        assert time.perf_counter() - start < 1.0, key
     report["certificate"]["parameters"]["eps"] = str(Fraction(1, 10**9))
     report["parameters"]["eps"] = str(Fraction(1, 10**9))
     start = time.perf_counter()
