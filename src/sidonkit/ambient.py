@@ -48,15 +48,19 @@ _MODES_BY_KIND = {
     PLANE: (DIFFERENCE, SUM),
 }
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
+# Miller-Rabin witnesses: no composite below psi_12 = 318665857834031151167461
+# is a strong pseudoprime to all of them (Sorenson and Webster); psi_12 is.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS_LIMIT = 2**64  # prime-field and plane moduli, far below psi_12
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n within the element budget."""
+    """Primality test, proven exact for n < psi_12 = 318665857834031151167461;
+    above that a strong pseudoprime to all twelve witnesses, such as psi_12,
+    is reported prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -93,9 +97,10 @@ class AmbientSpec:
             if not isinstance(self.modulus, int) or self.modulus < 2:
                 raise NonCanonicalElement("modulus N must be an integer >= 2")
         else:
-            if not isinstance(self.modulus, int) or not is_prime(self.modulus):
+            if (not isinstance(self.modulus, int) or self.modulus >= _MODULUS_LIMIT
+                    or not is_prime(self.modulus)):
                 raise NonCanonicalElement(
-                    f"{self.kind} requires a prime modulus, got {self.modulus!r}"
+                    f"{self.kind} requires a prime modulus below 2^64, got {self.modulus!r}"
                 )
 
     @property
@@ -125,6 +130,8 @@ class AmbientSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AmbientSpec":
+        if not isinstance(d, dict):
+            raise NonCanonicalElement(f"ambient must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == INTEGERS:
             return cls(INTEGERS)

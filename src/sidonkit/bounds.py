@@ -25,6 +25,9 @@ from .errors import CapExceeded, PreconditionFailed
 from .groundset import GroundSet, set_compose
 from .sidon import BFamilyParams, sid_k_exact, verify_bfamily, verify_multiplicity
 
+TUPLE_CAP = 2_000_000    # offset tuples heritability_slice may enumerate
+SUMSET_CAP = 2_000_000   # elements an iterated sumset of plunnecke_audit may hold
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -217,8 +220,7 @@ def _translate_universe(S: GroundSet, X: GroundSet):
     return {compose_value(S.ambient, SUM, s, x0) for s in S}
 
 
-def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int,
-                       tuple_cap: int = 2_000_000) -> BoundReport:
+def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int) -> BoundReport:
     """Exhaustively verifies that the slice sets S_{X_i} = ^_{x in X_i}(S+x)
     keep all their own shifted intersections below k, for every tuple of
     pairwise-distinct nonzero offsets within the finite support window.
@@ -251,8 +253,8 @@ def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int
     count = 1
     for opts in offset_ranges:
         count *= max(1, len(opts))
-    if count > tuple_cap:
-        raise CapExceeded(f"{count} offset tuples exceed the cap {tuple_cap}")
+    if count > TUPLE_CAP:
+        raise CapExceeded(f"{count} offset tuples exceed the cap {TUPLE_CAP}")
     violations = []
     checked = 0
     for combo in _distinct_tuples(offset_ranges):
@@ -331,7 +333,7 @@ def sidon_slice_audit(S: GroundSet) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Iterated-sumset growth audit
 
-def plunnecke_audit(A: GroundSet, n: int, m: int, size_cap: int = 2_000_000) -> BoundReport:
+def plunnecke_audit(A: GroundSet, n: int, m: int) -> BoundReport:
     """Checks |nA - mA| <= (|A+A|/|A|)^(n+m) |A| exactly.  The inequality
     is a theorem for abelian groups, so a 'violated' verdict flags an
     implementation bug, not a mathematical discovery."""
@@ -347,8 +349,8 @@ def plunnecke_audit(A: GroundSet, n: int, m: int, size_cap: int = 2_000_000) -> 
         acc = identity_set
         for _ in range(times):
             acc = set_compose(acc, A, SUM)
-            if len(acc) > size_cap:
-                raise CapExceeded(f"iterated sumset exceeds {size_cap} elements")
+            if len(acc) > SUMSET_CAP:
+                raise CapExceeded(f"iterated sumset exceeds {SUMSET_CAP} elements")
         return acc
 
     left = set_compose(iterate(n), iterate(m), DIFFERENCE)

@@ -101,8 +101,6 @@ def _load_json(path: str, inputs: dict) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report here instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subcommands (recorded; default 0)")
     parser = argparse.ArgumentParser(
         prog="sidonkit",
         description="Exact energies, Sidon-type extraction, structure "
@@ -115,6 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cap(p):
         p.add_argument("--cap", type=int, default=40, help="element cap for exact searches")
 
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+
     p = add_parser("energy", help="k-th energy of a set")
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -123,9 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("energy-prime", help="distinct-tuple energy")
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "enumerate"], default="auto")
     p.add_argument("--within-pairs-only", action="store_true")
-    add_cap(p)
 
     p = add_parser("histogram", help="representation-function histogram")
     p.add_argument("--set", required=True)
@@ -151,12 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", type=_mode, default=DIFFERENCE)
+    add_seed(p)
 
     p = add_parser("extract", help="seeded random extraction with certified bound")
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", type=_mode, default=DIFFERENCE)
     p.add_argument("--trials", type=int, default=20)
+    add_seed(p)
 
     p = add_parser("dense-core", help="energy-dense core refinement")
     p.add_argument("--set", required=True)
@@ -186,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gamma-order", type=int, required=True)
     c.add_argument("--k", type=int, default=1)
     c.add_argument("--save-set")
+    add_seed(c)
 
     p = add_parser("decompose", help="energy-gap decomposition certificate")
     p.add_argument("--set", required=True)
@@ -207,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["rigid", "popular"], default="rigid")
     p.add_argument("--lmax", type=int, default=6)
     p.add_argument("--trials", type=int, default=20)
+    add_seed(p)
 
     p = sub.add_parser("bounds", help="closed-form bound evaluation")
     bsub = p.add_subparsers(dest="bound", required=True)
@@ -250,24 +253,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
     """Returns (result, exit_code, one-line summary)."""
     sc = args.subcommand
+    A = _load_set(args.set, inputs) if getattr(args, "set", None) else None
     if sc == "energy":
-        A = _load_set(args.set, inputs)
         rep = energy_k(A, args.k, args.mode)
         return rep.to_dict(), 0, f"E_{args.k} = {rep.value} (kappa = {rep.kappa})"
     if sc == "energy-prime":
-        A = _load_set(args.set, inputs)
-        value = energy_prime_k(A, args.k, method=args.method, cap=args.cap,
-                               within_pairs_only=args.within_pairs_only)
+        value = energy_prime_k(A, args.k, within_pairs_only=args.within_pairs_only)
         return {"k": args.k, "value": value}, 0, f"distinct-tuple energy = {value}"
     if sc == "histogram":
-        A = _load_set(args.set, inputs)
         B = _load_set(args.right, inputs) if args.right else A
         hist = rep_histogram(A, B, args.mode, skip_noninvertible=True)
         cap = 10**9 if args.full else 10_000
         return hist.to_dict(max_entries=cap), 0, \
             f"support {hist.support_size}, pairs {hist.total_pairs}"
     if sc == "verify":
-        A = _load_set(args.set, inputs)
         if args.k is not None:
             witness = verify_bfamily(A, BFamilyParams(args.k, args.g))
         else:
@@ -276,39 +275,31 @@ def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
             return {"ok": True}, 0, "verified"
         return {"ok": False, "witness": witness.to_dict()}, 1, "violation found"
     if sc == "exact":
-        A = _load_set(args.set, inputs)
         size, witness = sid_k_exact(A, args.k, args.mode, cap=args.cap)
         return {"size": size, "witness": witness.to_dict()}, 0, f"maximum size {size}"
     if sc == "greedy":
-        A = _load_set(args.set, inputs)
         S = sid_k_greedy(A, args.k, args.mode, seed=args.seed)
         return {"size": len(S), "subset": S.to_dict()}, 0, f"greedy size {len(S)}"
     if sc == "extract":
-        A = _load_set(args.set, inputs)
         res = extract_random(A, args.k, args.mode, seed=args.seed, trials=args.trials)
         code = 0 if res.verified else 1
         return res.to_dict(), code, f"extracted {len(res.subset)} elements (bound {res.bound})"
     if sc == "dense-core":
-        A = _load_set(args.set, inputs)
         core, rep = dense_core_extract(A, args.g)
         return {"core": core.to_dict(), "report": rep}, 0, \
             f"core size {len(core)}, floor holds: {rep['floor_holds']}"
     if sc == "construct":
-        return _construct(args, inputs)
+        return _construct(args)
     if sc == "decompose":
-        A = _load_set(args.set, inputs)
         cert = energy_gap_decompose(A, args.delta, args.eps)
         return cert.to_json_dict(), 0, f"certificate variant: {cert.variant}"
     if sc == "rigid":
-        A = _load_set(args.set, inputs)
         cert = rigid_structure(A, args.delta, args.eps)
         return cert.to_json_dict(), 0, f"certificate variant: {cert.variant}"
     if sc == "popular-shifts":
-        A = _load_set(args.set, inputs)
         T = popular_symmetry_set(A, args.theta)
         return {"size": len(T), "shifts": T.to_dict()}, 0, f"{len(T)} popular shifts"
     if sc == "pipeline":
-        A = _load_set(args.set, inputs)
         rep = sum_product_pipeline(A, eps=args.eps, seed=args.seed,
                                    trials=args.trials, core_variant=args.variant,
                                    l_max=args.lmax)
@@ -316,27 +307,26 @@ def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
         return rep.to_json_dict(), code, \
             f"{rep.branch}: subset {len(rep.subset)} vs ceil(sqrt|A|) = {rep.sqrt_target}"
     if sc == "bounds":
-        return _bounds(args, inputs)
+        return _bounds(args, A, inputs)
     if sc == "heritability":
-        S = _load_set(args.set, inputs)
         if args.mode == "slices":
-            rep = sidon_slice_audit(S)
+            rep = sidon_slice_audit(A)
         else:
             shift_sets = [_load_set(path, inputs) for path in args.shift_set]
-            rep = heritability_slice(S, shift_sets, args.k, args.g)
+            rep = heritability_slice(A, shift_sets, args.k, args.g)
         code = 0 if rep.verdict == "holds" else 1
         return rep.to_dict(), code, f"heritability: {rep.verdict}"
     if sc == "audit-plunnecke":
-        A = _load_set(args.set, inputs)
         rep = plunnecke_audit(A, args.n, args.m)
         code = 0 if rep.verdict == "holds" else 1
         return rep.to_dict(), code, \
             f"|{args.n}A-{args.m}A| = {rep.measured} vs bound {float(rep.bound):.3f}"
     if sc == "verify-certificate":
-        A = _load_set(args.set, inputs)
         obj = _load_json(args.cert, inputs)
         while isinstance(obj, dict) and "result" in obj and "kind" not in obj:
             obj = obj["result"]
+        if not isinstance(obj, dict):
+            raise ValueError(f"{args.cert}: a certificate is a JSON object")
         if obj.get("kind") == "pipeline-report":
             issues = verify_pipeline_report(A, obj)
         else:
@@ -347,7 +337,7 @@ def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
     raise SidonkitError(f"unhandled subcommand {sc!r}")
 
 
-def _construct(args, inputs) -> tuple[dict, int, str]:
+def _construct(args) -> tuple[dict, int, str]:
     kind = args.construction
     if kind == "sidon":
         S = sidon_base(args.n)
@@ -374,15 +364,14 @@ def _construct(args, inputs) -> tuple[dict, int, str]:
     return report, code, note
 
 
-def _bounds(args, inputs) -> tuple[dict, int, str]:
+def _bounds(args, A, inputs) -> tuple[dict, int, str]:
     if args.bound == "sumset":
         B = _load_set(args.left, inputs)
         C = _load_set(args.right, inputs)
-        A = _load_set(args.target, inputs) if args.target else None
-        rep = sumset_sidon_upper(B, C, args.k, sigma=args.sigma, A=A,
+        target = _load_set(args.target, inputs) if args.target else None
+        rep = sumset_sidon_upper(B, C, args.k, sigma=args.sigma, A=target,
                                  exact_cap=args.cap)
     elif args.bound == "diffset":
-        A = _load_set(args.set, inputs)
         rep = diffset_bounds(A, args.k)
     else:
         rep = bfamily_size_upper(args.n, args.k, args.g, args.setting)
@@ -411,6 +400,7 @@ def main(argv=None) -> int:
     wall_ms = int((time.monotonic() - t0) * 1000)
     params = {k: _param_value(v) for k, v in vars(args).items()
               if k not in ("out",) and v is not None}
+    seed = vars(args).get("seed")  # None where the subcommand takes no --seed
     report = {
         "format_version": 1,
         "tool": "sidonkit",
@@ -418,7 +408,7 @@ def main(argv=None) -> int:
         "subcommand": args.subcommand,
         "parameters": params,
         "inputs": inputs,
-        "seed": args.seed,
+        "seed": seed,
         "result": result,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -428,7 +418,7 @@ def main(argv=None) -> int:
         "subcommand": args.subcommand,
         "parameters": params,
         "inputs": inputs,
-        "seed": args.seed,
+        "seed": seed,
         "wall_time_ms": wall_ms,
         "output": args.out,
     }

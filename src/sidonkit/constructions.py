@@ -40,19 +40,17 @@ class ConstructionReport:
     status: str                      # "pass" | "anomalous" | "fail"
     extra_sets: dict = field(default_factory=dict)
 
-    def to_dict(self, include_sets: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "parameters": self.parameters,
             "claim": self.claim,
             "stats": _jsonable_stats(self.stats),
             "status": self.status,
             "output_size": len(self.output),
+            "output": self.output.to_dict(),
+            "extra_sets": {k: v.to_dict() for k, v in self.extra_sets.items()},
         }
-        if include_sets:
-            d["output"] = self.output.to_dict()
-            d["extra_sets"] = {k: v.to_dict() for k, v in self.extra_sets.items()}
-        return d
 
 
 def _jsonable_stats(stats: dict) -> dict:
@@ -204,20 +202,17 @@ def hyperbola_family(p: int, k: int, t: int | None = None) -> ConstructionReport
     if not 1 <= k < p:
         raise ValueError("need 1 <= k < p")
 
-    def build(shift: int) -> GroundSet:
+    def parabolas(shift: int) -> list[set]:
         us = [(shift + j) % p for j in range(1, k + 1)]
         if any(u == 0 for u in us):
             raise BadShift(f"shift {shift} makes some u = 0 mod {p}")
-        pts = set()
-        for u in us:
-            inv = pow(u, -1, p)
-            for x in range(p):
-                pts.add((x, x * x * inv % p))
-        return GroundSet.from_iterable(amb, pts)
+        invs = [pow(u, -1, p) for u in us]
+        return [{(x, x * x * inv % p) for x in range(p)} for inv in invs]
 
-    def max_mult(S: GroundSet) -> int:
+    def union_and_max_mult(curves: list[set]) -> tuple[GroundSet, int]:
+        S = GroundSet.from_iterable(amb, (pt for curve in curves for pt in curve))
         worst = difference_histogram(S).max_count(exclude_values=((0, 0),))
-        return worst[1] if worst else 0
+        return S, worst[1] if worst else 0
 
     searched = t is None
     if searched:
@@ -225,25 +220,16 @@ def hyperbola_family(p: int, k: int, t: int | None = None) -> ConstructionReport
         for cand in range(p):
             if any((cand + j) % p == 0 for j in range(1, k + 1)):
                 continue
-            m = max_mult(build(cand))
+            curves = parabolas(cand)
+            S, m = union_and_max_mult(curves)
             if best is None or m < best[1]:
-                best = (cand, m)
-        t, m = best
-        A = build(t)
+                best = (cand, m, curves, S)
+        t, m, curves, A = best
     else:
-        A = build(t)
-        m = max_mult(A)
-    pairwise_ok = True
-    if k >= 2:
-        us = [(t + j) % p for j in range(1, k + 1)]
-        curves = []
-        for u in us:
-            inv = pow(u, -1, p)
-            curves.append({(x, x * x * inv % p) for x in range(p)})
-        for i in range(k):
-            for j in range(i + 1, k):
-                if curves[i] & curves[j] != {(0, 0)}:
-                    pairwise_ok = False
+        curves = parabolas(t)
+        A, m = union_and_max_mult(curves)
+    pairwise_ok = all(curves[i] & curves[j] == {(0, 0)}
+                      for i in range(k) for j in range(i + 1, k))
     threshold = k * k + 5 * k * sqrt_upper(k)
     stats = {
         "size": len(A),

@@ -274,7 +274,6 @@ class EnergyReport:
     value: int
     kappa: float | None
     set_size: int
-    distinct_variant_value: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -283,7 +282,6 @@ class EnergyReport:
             "value": self.value,
             "kappa": self.kappa,
             "set_size": self.set_size,
-            "distinct_variant_value": self.distinct_variant_value,
         }
 
 
@@ -294,8 +292,7 @@ def kappa_of(value: int, size: int, k: int) -> float | None:
     return math.log(value) / math.log(size) - k
 
 
-def energy_k(A: GroundSet, k: int, mode: str = DIFFERENCE,
-             include_distinct_variant: bool = False) -> EnergyReport:
+def energy_k(A: GroundSet, k: int, mode: str = DIFFERENCE) -> EnergyReport:
     """k-th moment of the composition histogram of A with itself."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -305,8 +302,7 @@ def energy_k(A: GroundSet, k: int, mode: str = DIFFERENCE,
         raise UnsupportedMode(f"energy mode must be difference/sum/product, got {mode!r}")
     hist = rep_histogram(A, A, mode)
     value = hist.energy(k)
-    distinct = energy_prime_k(A, k) if include_distinct_variant and mode == DIFFERENCE else None
-    return EnergyReport(k, mode, value, kappa_of(value, len(A), k), len(A), distinct)
+    return EnergyReport(k, mode, value, kappa_of(value, len(A), k), len(A))
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +422,20 @@ def _disjoint_pairs(codes: np.ndarray, amb: AmbientSpec, d) -> int:
     return int(((paths + 1) // 2).sum()) + cycles * (cycle_len // 2)
 
 
-def energy_prime_k(A: GroundSet, k: int, method: str = "auto",
-                   cap: int = 12, within_pairs_only: bool = False) -> int:
+def energy_prime_k(A: GroundSet, k: int, within_pairs_only: bool = False) -> int:
     """Ordered 2k-tuples (x_1, x'_1, ..., x_k, x'_k) in A^{2k} with all
     entries pairwise distinct and equal differences x_j - x'_j.
 
-    The default algorithm counts, per difference d, ordered k-tuples of
-    vertex-disjoint pairs through the matching polynomial of the graph
-    x -> x + d on A, which splits into paths and cycles.  It handles each
+    Counts, per difference d, ordered k-tuples of vertex-disjoint pairs
+    through the matching polynomial of the graph x -> x + d on A, which
+    splits into paths and cycles.  It handles each
     class {d, -d} with r(d) >= k once (the graph of -d is the reverse of
     the graph of d) on one array of A's elements: one sort-free
     searchsorted pass finds every successor, pointer doubling gives the
     path lengths, and every cycle has the order of d as its length.  Memory
     is O(|A|) beyond the difference histogram.  The arrays are int64 when
     no step can leave int64 and Python ints otherwise, so the count is
-    exact at every size.  `method="enumerate"` is a direct backtracking
-    enumeration, capped at |A| <= cap.
+    exact at every size.
 
     `within_pairs_only` switches to the weaker reading that only requires
     x_j != x'_j inside each pair, i.e. the sum of r^k over nonzero
@@ -454,12 +448,6 @@ def energy_prime_k(A: GroundSet, k: int, method: str = "auto",
     zero = amb.identity(DIFFERENCE)
     if within_pairs_only:
         return hist.energy(k, exclude_values=(zero,))
-    if method == "enumerate":
-        if len(A) > cap:
-            raise CapExceeded(f"|A| = {len(A)} exceeds the enumeration cap {cap}")
-        return _energy_prime_enumerate(A, k)
-    if method != "auto":
-        raise UnsupportedMode(f"unknown energy_prime_k method {method!r}")
     codes = _chain_codes(amb, A.elements)
     total = 0
     for d in hist.values_with_count_at_least(k):
@@ -469,37 +457,6 @@ def energy_prime_k(A: GroundSet, k: int, method: str = "auto",
         poly = _matching_poly(*_chains(codes, amb, d), k)
         total += (1 if minus == d else 2) * poly[k]
     return math.factorial(k) * total
-
-
-def _energy_prime_enumerate(A: GroundSet, k: int) -> int:
-    amb = A.ambient
-    elems = list(A.elements)
-    n = len(elems)
-    zero = amb.identity(DIFFERENCE)
-    by_diff: dict = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = compose_value(amb, DIFFERENCE, elems[i], elems[j])
-            if d == zero:
-                continue
-            by_diff.setdefault(d, []).append((i, j))
-
-    def extend(pairs, used, depth):
-        if depth == k:
-            return 1
-        total = 0
-        for i, j in pairs:
-            if i not in used and j not in used:
-                used.add(i)
-                used.add(j)
-                total += extend(pairs, used, depth + 1)
-                used.discard(i)
-                used.discard(j)
-        return total
-
-    return sum(extend(pairs, set(), 0) for pairs in by_diff.values())
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ def test_ambient_validation():
         AmbientSpec("no-such-kind")
 
 
+def test_moduli_below_2_64_only():
+    psi12 = 318665857834031151167461  # = 399165290221 * 798330580441
+    for make in (AmbientSpec.prime_field, AmbientSpec.plane):
+        with pytest.raises(NonCanonicalElement):
+            make(psi12)
+        for p in (2**64 - 59, 2**61 - 1):
+            assert make(p).modulus == p
+
+
 def test_mode_inventory():
     assert "product" in AmbientSpec.integers().modes
     assert "ratio" in AmbientSpec.prime_field(13).modes

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import oracle_energy_prime
 from sidonkit import AmbientSpec, GroundSet, integer_range, integer_set, serialize_set
-from sidonkit.cli import main
+from sidonkit.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -54,6 +55,47 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     code, out, err = run_cli(["energy", "--set", str(path), "--k", "2"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_malformed_json_exits_2(set_file, tmp_path, capsys):
+    path = set_file(integer_range(0, 8))
+    for cert in ([1, 2], {"result": 5}):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, _, err = run_cli(["verify-certificate", "--set", path,
+                                "--cert", str(cert_path)], capsys)
+        assert code == 2 and "Traceback" not in err, cert
+    for ambient in ("integers", ["integers"]):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"ambient": ambient, "elements": [1, 2]}))
+        code, _, err = run_cli(["energy", "--set", str(bad), "--k", "2"], capsys)
+        assert code == 2 and "Traceback" not in err, ambient
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def test_seed_only_where_read(set_file, capsys):
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert len(leaves) == 23
+    seeded = {name for name, p in leaves.items()
+              if any("--seed" in a.option_strings for a in p._actions)}
+    assert seeded == {"greedy", "extract", "pipeline", "construct fpmult"}
+    path = set_file(integer_set([0, 1, 3]))
+    for argv in (["energy", "--set", path, "--k", "2", "--seed", "1"],
+                 ["energy-prime", "--set", path, "--k", "2", "--method", "enumerate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    code, out, _ = run_cli(["energy", "--set", path, "--k", "2"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["seed"] is None and "seed" not in report["parameters"]
 
 
 def test_budget_exit_3(set_file, capsys):
@@ -139,12 +181,8 @@ def test_energy_prime_cli(set_file, capsys):
     result = json.loads(out)["result"]
     assert result == {"k": 2, "value": oracle_energy_prime(A, 2)}
     assert f"distinct-tuple energy = {result['value']}" in err
-    code, out, _ = run_cli(["energy-prime", "--set", path, "--k", "3",
-                            "--method", "enumerate"], capsys)
+    code, out, _ = run_cli(["energy-prime", "--set", path, "--k", "3"], capsys)
     assert code == 0 and json.loads(out)["result"]["value"] == oracle_energy_prime(A, 3)
-    code, _, err = run_cli(["energy-prime", "--set", set_file(integer_range(0, 20), "big.json"),
-                            "--k", "2", "--method", "enumerate", "--cap", "12"], capsys)
-    assert code == 3 and "Traceback" not in err
 
 
 def test_verify_certificate_malformed_subset_reported(set_file, tmp_path, capsys):
