@@ -100,6 +100,35 @@ def compose_codes(amb: AmbientSpec, mode: str, a: np.ndarray, b: np.ndarray) -> 
     return out
 
 
+def negate_codes(amb: AmbientSpec, a: np.ndarray) -> np.ndarray:
+    """Codes of -x for every code x in `a`, as one fresh array."""
+    if amb.kind == PLANE:
+        p = amb.modulus
+        out = -(a // p) % p
+        out *= p
+        out += -a % p
+        return out
+    out = -a
+    if amb.kind != INTEGERS:
+        out %= amb.modulus
+    return out
+
+
+def diagonal_codes(amb: AmbientSpec, mode: str, a: np.ndarray) -> np.ndarray:
+    """Codes of x o x for every code x in `a`, in sum or product mode, as
+    one fresh array; they fit wherever the codes of x o y do."""
+    if amb.kind == PLANE:  # (2x, 2y)
+        p = amb.modulus
+        out = 2 * (a // p) % p
+        out *= p
+        out += 2 * a % p
+        return out
+    out = a * a if mode == PRODUCT else a + a
+    if amb.kind != INTEGERS:
+        out %= amb.modulus
+    return out
+
+
 def pair_codes(amb: AmbientSpec, mode: str, left, right,
                skip_noninvertible: bool = False) -> tuple[np.ndarray, int]:
     """Codes of a o b for every canonical a in `left` and b in `right`, row

@@ -27,7 +27,7 @@ from .ambient import (
     compose_value,
     negate,
 )
-from .codes import compose_codes, decode, element_codes
+from .codes import compose_codes, decode, diagonal_codes, element_codes
 from .counting import (
     _chain_codes,
     _disjoint_pairs,
@@ -458,9 +458,7 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
         counts[codes == 0] = 0  # the identity, code 0, is the self-pair diagonal
     else:
         selfs = np.zeros_like(counts)
-        diag = element_codes(amb, [compose_value(amb, mode, a, a) for a in members],
-                             codes.dtype)
-        np.add.at(selfs, np.searchsorted(codes, diag), 1)
+        np.add.at(selfs, np.searchsorted(codes, diagonal_codes(amb, mode, mcodes)), 1)
     deletions = 0
     while True:
         # a difference has at most r disjoint pairs, a sum or product (r + s) // 2
@@ -481,7 +479,7 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
         if mode == DIFFERENCE:  # and (b, e)
             gone = np.concatenate((gone, compose_codes(amb, mode, mcodes, e)))
         else:  # and (b, e) with b o e = e o b, and (e, e)
-            diag = compose_codes(amb, mode, e, e)
+            diag = diagonal_codes(amb, mode, e)
             selfs[np.searchsorted(codes, diag)] -= 1
             gone = np.concatenate((gone, gone, diag))
         np.subtract.at(counts, np.searchsorted(codes, gone), 1)

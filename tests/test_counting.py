@@ -430,20 +430,28 @@ def test_int64_edge_stays_exact():
 
 
 class _BackendSpy:
-    """Stands in for numpy and for the builtin `sorted` inside `counting`,
-    and records which counting routine a histogram used: "bincount",
-    "unique", or "sort" for the list sort of Python-int codes."""
+    """Stands in for numpy, for the builtin `sorted` and for `_sort_codes`
+    inside `counting`, and records which counting routine a histogram used:
+    "bincount", "in-place sort" for numpy's sort of int64 codes in place,
+    or "sort" for the list sort of Python-int codes."""
 
-    def __init__(self):
+    def __init__(self, sort_codes):
         self.used = []
+        self._sort_codes = sort_codes
 
     def sorted(self, values):
         self.used.append("sort")
         return sorted(values)
 
+    def sort_codes(self, flat):
+        out = self._sort_codes(flat)
+        if out is flat:
+            self.used.append("in-place sort")
+        return out
+
     def __getattr__(self, name):
         fn = getattr(np, name)
-        if name not in ("bincount", "unique"):
+        if name != "bincount":
             return fn
 
         def recorded(*args, **kwargs):
@@ -454,9 +462,10 @@ class _BackendSpy:
 
 def _spied_histogram(monkeypatch, A, B, mode, skip_noninvertible=False):
     """(counting routines used, histogram)."""
-    spy = _BackendSpy()
+    spy = _BackendSpy(counting._sort_codes)
     monkeypatch.setattr(counting, "np", spy)
     monkeypatch.setattr(counting, "sorted", spy.sorted, raising=False)
+    monkeypatch.setattr(counting, "_sort_codes", spy.sort_codes)
     hist = rep_histogram(A, B, mode, skip_noninvertible)
     monkeypatch.undo()
     return spy.used, hist
@@ -485,27 +494,28 @@ def test_histogram_backends_agree(monkeypatch):
     big_p = 2**31 + 11
     f13 = AmbientSpec.prime_field(13)
     cases = [
-        # negative integers: dense (bincount) and spread (sort)
+        # negative integers: dense (bincount) and spread (in-place sort)
         (integer_set(rng.sample(range(-400, -100), 60)), None, "difference", "bincount"),
         (integer_set(rng.sample(range(-400, -100), 60)), None, "sum", "bincount"),
-        (integer_set(rng.sample(range(-10**9, 0), 60)), None, "difference", "unique"),
+        (integer_set(rng.sample(range(-10**9, 0), 60)), None, "difference", "in-place sort"),
         # difference span (maxA - minA) + (maxB - minB) + 1 equal to the
         # 90 * 92 = 8280 pairs, then one more
         (integer_set(_with_ends(rng, 0, 4139, 90)), integer_set(_with_ends(rng, 0, 4140, 92)),
          "difference", "bincount"),
         (integer_set(_with_ends(rng, 0, 4139, 90)), integer_set(_with_ends(rng, 0, 4141, 92)),
-         "difference", "unique"),
+         "difference", "in-place sort"),
         # Z/2^6 with its 2-torsion element 32, and a sparse set in Z/2^20
         (GroundSet.from_iterable(mod, [0, 32] + rng.sample(range(1, 32), 10)), None,
          "difference", "bincount"),
         (GroundSet.from_iterable(mod, [0, 32] + rng.sample(range(33, 64), 10)), None,
          "sum", "bincount"),
         (GroundSet.from_iterable(AmbientSpec.mod(2**20), [0, 2**19] + rng.sample(range(1, 2**19), 10)),
-         None, "difference", "unique"),
+         None, "difference", "in-place sort"),
         # the plane over F_2 (whole plane) and F_3
         (GroundSet.from_iterable(AmbientSpec.plane(2), [(0, 0), (0, 1), (1, 0), (1, 1)]), None,
          "difference", "bincount"),
-        (GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (2, 2)]), None, "sum", "unique"),
+        (GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (2, 2)]), None, "sum",
+         "in-place sort"),
         (GroundSet.from_iterable(AmbientSpec.plane(3), [(x, y) for x in range(3) for y in range(2)]),
          None, "difference", "bincount"),
         # Python-int codes: the int64 edge, products at +-3_037_000_500,
@@ -524,7 +534,7 @@ def test_histogram_backends_agree(monkeypatch):
          "difference", "sort"),
         # ratios over the integers, below and above 2^31, and over F_13
         # (with 0 only in A: no pair is skipped)
-        (integer_set(range(-12, 30)), integer_set(range(1, 25)), "ratio", "unique"),
+        (integer_set(range(-12, 30)), integer_set(range(1, 25)), "ratio", "in-place sort"),
         (integer_set([-2**40, -3, -1, 1, 2, 6, 2**31, 2**31 + 1, 3 * 2**33]), None, "ratio",
          "sort"),
         (GroundSet.from_iterable(f13, range(13)), GroundSet.from_iterable(f13, range(1, 13)),
@@ -543,6 +553,93 @@ def test_histogram_backends_agree(monkeypatch):
             rep_histogram(X, Y, "ratio")
         _check_against_oracle(rep_histogram(X, Y, "ratio", skip_noninvertible=True), X, Y,
                               "ratio")
+
+
+def test_half_pair_histograms_match_oracle():
+    """Sets above the cut with themselves compose each unordered pair once
+    and rebuild the ordered-pair histogram; the oracle composes every
+    ordered pair."""
+    rng = random.Random(61)
+    z16 = AmbientSpec.mod(2**16)
+    big_n = 2**63 + 2
+    f1009 = AmbientSpec.prime_field(1009)
+    halves = rng.sample(range(1, 2**15), 260)
+    cases = [
+        (integer_set(rng.sample(range(-10**12, 10**12), 520)), ("product",)),
+        (integer_set([-2**62, 2**62] + rng.sample(range(-10**6, 10**6), 518)),
+         ("difference", "sum")),
+        (integer_set([-3_037_000_500, 3_037_000_500] + rng.sample(range(-10**6, 10**6), 518)),
+         ("product",)),
+        # the 2-torsion element 2^15 (d = -d), and a, a + 2^15 with 2a = 2(a + 2^15)
+        (GroundSet.from_iterable(z16, [0, 2**15] + rng.sample(range(1, 2**15), 518)),
+         ("difference",)),
+        (GroundSet.from_iterable(z16, halves + [a + 2**15 for a in halves]), ("sum",)),
+        # differences in groups larger than the half pairs take the ordered
+        # path: Z/2^40 with its 2-torsion element, a sparse plane
+        (GroundSet.from_iterable(AmbientSpec.mod(2**40), [0, 2**39]
+                                 + rng.sample(range(1, 2**39), 518)), ("difference",)),
+        (GroundSet.from_iterable(AmbientSpec.plane(1009), rng.sample(
+            [(x, y) for x in range(1009) for y in range(0, 1009, 97)], 520)), ("difference",)),
+        (GroundSet.from_iterable(f1009, [0] + rng.sample(range(1, 1009), 519)), ("product",)),
+        (GroundSet.from_iterable(AmbientSpec.plane(23), [(x, y) for x in range(23)
+                                                         for y in range(23)]),
+         ("difference", "sum")),
+        (GroundSet.from_iterable(AmbientSpec.mod(big_n), [0, 1, big_n // 2, big_n - 1]
+                                 + [rng.randrange(big_n) for _ in range(516)]),
+         ("difference", "sum")),
+        # either side of the cut
+        (integer_set(rng.sample(range(10**6), 512)), ("difference",)),
+        (integer_set(rng.sample(range(10**6), 513)), ("difference", "sum")),
+    ]
+    for A, modes in cases:
+        for mode in modes:
+            hist = rep_histogram(A, A, mode)
+            want, _ = oracle_histogram(A, A, mode)
+            assert hist.to_counts_dict() == want, (A.ambient, mode)
+            assert hist.items() == sorted(want.items()), (A.ambient, mode)
+            assert (hist.total_pairs, hist.skipped_pairs) == (len(A) ** 2, 0)
+            top = oracle_max_count(want)
+            assert hist.max_count() == top, (A.ambient, mode)
+            exclude = frozenset(top[:1])  # the runner-up
+            assert hist.max_count(exclude) == oracle_max_count(want, exclude), (A.ambient, mode)
+
+
+def test_half_pairs_counted_once(monkeypatch):
+    """At |A| = 600 the counting routine receives n(n-1)/2 difference codes
+    and n(n+1)/2 sum and product codes, composed from the upper triangle
+    and never from every ordered pair; a difference in a group larger than
+    the half pairs composes every ordered pair."""
+    n = 600
+    composed = []
+    real_triangle, real_pairs = counting._triangle_codes, counting.pair_codes
+
+    def triangle(*args, **kwargs):
+        out = real_triangle(*args, **kwargs)
+        composed.append(("half", out.size))
+        return out
+
+    def ordered(*args, **kwargs):
+        out = real_pairs(*args, **kwargs)
+        composed.append(("ordered", out[0].size))
+        return out
+
+    monkeypatch.setattr(counting, "_triangle_codes", triangle)
+    monkeypatch.setattr(counting, "pair_codes", ordered)
+    rng = random.Random(62)
+    z16 = GroundSet.from_iterable(AmbientSpec.mod(2**16), rng.sample(range(2**16), n))
+    for A in (integer_set(rng.sample(range(10**9), n)), integer_range(0, n), z16):
+        for mode, pairs in (("difference", n * (n - 1) // 2), ("sum", n * (n + 1) // 2),
+                            ("product", n * (n + 1) // 2)):
+            if mode not in A.ambient.modes:
+                continue
+            composed.clear()
+            hist = rep_histogram(A, A, mode)
+            assert composed == [("half", pairs)], (A.ambient, mode)
+            assert hist.total_pairs == n * n
+    composed.clear()
+    z40 = GroundSet.from_iterable(AmbientSpec.mod(2**40), rng.sample(range(2**40), n))
+    assert rep_histogram(z40, z40, "difference").total_pairs == n * n
+    assert composed == [("ordered", n * n)]
 
 
 def test_max_count_exclusions_match_oracle():

@@ -526,19 +526,23 @@ def test_rigid_translates_match_brute_force_when_h_is_not_the_band():
 
 
 def test_verify_rigid_certificate_builds_each_histogram_once(monkeypatch):
-    A = integer_range(1, 257)
-    cert = rigid_structure(A, Fraction(1, 4), Fraction(1, 16))
-    band = tuple(cert.core["band"])
-    assert cert.rigid["H"] == cert.core["band"]  # H = P
+    real = counting._build_histogram
     built = []
-    real = counting.pair_codes
 
-    def spy(amb, mode, left, right, *rest):
-        built.append((left, right, mode))
-        return real(amb, mode, left, right, *rest)
+    def spy(A, B, mode, *rest):
+        built.append((A.elements, B.elements, mode))
+        return real(A, B, mode, *rest)
 
-    monkeypatch.setattr(counting, "pair_codes", spy)
-    assert verify_certificate(A, cert) == []
-    assert built.count((A.elements, band, "difference")) == 1  # A - P
-    assert built.count((band, band, "difference")) == 1  # P - P
-    assert len(built) == len(set(built))
+    monkeypatch.setattr(counting, "_build_histogram", spy)
+    # P - P composes every ordered pair at |P| = 255, and each unordered
+    # pair once at |P| = 1023
+    for A, half_pairs in ((integer_range(1, 257), False), (integer_range(1, 1025), True)):
+        cert = rigid_structure(A, Fraction(1, 4), Fraction(1, 16))
+        band = tuple(cert.core["band"])
+        assert cert.rigid["H"] == cert.core["band"]  # H = P
+        assert (len(band) > counting._HALF_CUT) == half_pairs
+        built.clear()
+        assert verify_certificate(A, cert) == []
+        assert built.count((A.elements, band, "difference")) == 1  # A - P
+        assert built.count((band, band, "difference")) == 1  # P - P
+        assert len(built) == len(set(built))
