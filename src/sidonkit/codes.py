@@ -200,7 +200,21 @@ def value_codes(amb: AmbientSpec, mode: str, values, dtype) -> tuple[np.ndarray,
     """Codes of arbitrary query values in the format of a `mode` code array
     of `dtype`, and a mask of the values that array could hold; the others
     (see `_value_code`, and codes beyond int64 for an int64 array) get
-    code 0 and False."""
+    code 0 and False.  Scalar values that are all ints within int64 are
+    coded as themselves in one array, with the residue range checked on
+    the whole array; any other query goes value by value."""
+    values = list(values)
+    if (amb.kind != PLANE and not (mode == RATIO and amb.kind == INTEGERS)
+            and all(type(v) is int for v in values)):
+        try:
+            codes = np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            held = np.ones(codes.size, dtype=bool) if amb.kind == INTEGERS \
+                else (codes >= 0) & (codes < amb.modulus)
+            codes[~held] = 0
+            return codes.astype(dtype, copy=False), held
     shift = _ratio_shift(dtype)
     raw = [_value_code(amb, mode, v, shift) for v in values]
     if dtype == np.int64:

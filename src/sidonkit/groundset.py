@@ -53,9 +53,13 @@ class GroundSet:
 
     @classmethod
     def from_iterable(cls, ambient: AmbientSpec, it, label: str | None = None) -> "GroundSet":
-        """Canonicalize, dedupe, and sort an arbitrary iterable of elements."""
+        """Canonicalize, dedupe, and sort an arbitrary iterable of elements.
+        The result is canonical, sorted and distinct by construction, so
+        `__post_init__` does not check it again."""
         canon = {canonical_element(ambient, x) for x in it}
-        return cls(ambient, tuple(sorted(canon)), label)
+        out = cls.__new__(cls)
+        out.__dict__.update(ambient=ambient, elements=tuple(sorted(canon)), label=label)
+        return out
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -32,6 +32,9 @@ from sidonkit import (
 from sidonkit import DivisionByZero, counting
 from sidonkit.codes import code_dtype
 from sidonkit.counting import (
+    CONVOLUTION,
+    HALF_PAIRS,
+    ORDERED_PAIRS,
     difference_histogram,
     max_disjoint_pairs,
     reuses_histograms,
@@ -316,6 +319,36 @@ def test_batched_counts_match_single_lookups():
     assert h.counts([]).tolist() == []
 
 
+def test_int_queries_match_mixed_queries():
+    """Queries that are all ints are coded in one array; each answer equals
+    the one it gets in a mixed query, which codes value by value, and
+    bools, floats and Fractions alone keep their answers."""
+    rng = random.Random(48)
+    big_n = 2**63 + 2
+    hists = [
+        rep_histogram(integer_set(rng.sample(range(-10**6, 10**6), 60)),
+                      integer_set(rng.sample(range(-10**6, 10**6), 50)), "sum"),
+        difference_histogram(integer_range(0, 20)),
+        difference_histogram(integer_set([-2**62, 2**62] + list(range(30)))),  # Python ints
+        difference_histogram(GroundSet.from_iterable(AmbientSpec.mod(64), rng.sample(range(64), 20))),
+        rep_histogram(GroundSet.from_iterable(AmbientSpec.prime_field(13), range(1, 13)),
+                      GroundSet.from_iterable(AmbientSpec.prime_field(13), range(1, 13)), "ratio"),
+        difference_histogram(GroundSet.from_iterable(AmbientSpec.mod(big_n),
+                                                     [0, 1, 5, big_n - 1, big_n // 2])),
+    ]
+    for h in hists:
+        table = dict(h.items())
+        ints = list(table)[::3] + [-1, 0, 1, 2, 13, 64, 2**62, -2**63, 2**63 - 1, 2**63,
+                                   big_n - 1, big_n, 2**70, -2**70]
+        mixed = ints + [Fraction(1, 2)]
+        assert h.counts(ints).tolist() == h.counts(mixed).tolist()[:-1]
+        assert h.counts(ints).tolist() == [table.get(v, 0) for v in ints]
+        assert [h.count(v) for v in ints] == [table.get(v, 0) for v in ints]
+        for v in (True, False, 1.0, 0.0):
+            assert h.counts([v]).tolist() == [0], v
+        assert h.count(Fraction(2, 1)) == h.count(2)
+
+
 def test_intersection_size_examples():
     A = integer_range(0, 5)
     assert intersection_size(A, [1, 2]) == 3
@@ -433,7 +466,8 @@ class _BackendSpy:
     """Stands in for numpy, for the builtin `sorted` and for `_sort_codes`
     inside `counting`, and records which counting routine a histogram used:
     "bincount", "in-place sort" for numpy's sort of int64 codes in place,
-    or "sort" for the list sort of Python-int codes."""
+    or "sort" for the list sort of Python-int codes.  A histogram built by
+    convolution uses none of them and is recorded as "convolution"."""
 
     def __init__(self, sort_codes):
         self.used = []
@@ -468,6 +502,8 @@ def _spied_histogram(monkeypatch, A, B, mode, skip_noninvertible=False):
     monkeypatch.setattr(counting, "_sort_codes", spy.sort_codes)
     hist = rep_histogram(A, B, mode, skip_noninvertible)
     monkeypatch.undo()
+    if hist.path == CONVOLUTION:
+        spy.used.append("convolution")
     return spy.used, hist
 
 
@@ -504,8 +540,11 @@ def test_histogram_backends_agree(monkeypatch):
          "difference", "bincount"),
         (integer_set(_with_ends(rng, 0, 4139, 90)), integer_set(_with_ends(rng, 0, 4141, 92)),
          "difference", "in-place sort"),
-        # Z/2^6 with its 2-torsion element 32, and a sparse set in Z/2^20
+        # Z/2^6 with its 2-torsion element 32, dense (convolution) and
+        # spread over the whole group (bincount), and a sparse set in Z/2^20
         (GroundSet.from_iterable(mod, [0, 32] + rng.sample(range(1, 32), 10)), None,
+         "difference", "convolution"),
+        (GroundSet.from_iterable(mod, [0, 32, 63] + rng.sample(range(1, 32), 9)), None,
          "difference", "bincount"),
         (GroundSet.from_iterable(mod, [0, 32] + rng.sample(range(33, 64), 10)), None,
          "sum", "bincount"),
@@ -607,8 +646,10 @@ def test_half_pair_histograms_match_oracle():
 def test_half_pairs_counted_once(monkeypatch):
     """At |A| = 600 the counting routine receives n(n-1)/2 difference codes
     and n(n+1)/2 sum and product codes, composed from the upper triangle
-    and never from every ordered pair; a difference in a group larger than
-    the half pairs composes every ordered pair."""
+    and never from every ordered pair, except for the sums and differences
+    of the interval [0, 600), which are convolved and compose no pair; a
+    difference in a group larger than the half pairs composes every
+    ordered pair."""
     n = 600
     composed = []
     real_triangle, real_pairs = counting._triangle_codes, counting.pair_codes
@@ -627,19 +668,154 @@ def test_half_pairs_counted_once(monkeypatch):
     monkeypatch.setattr(counting, "pair_codes", ordered)
     rng = random.Random(62)
     z16 = GroundSet.from_iterable(AmbientSpec.mod(2**16), rng.sample(range(2**16), n))
-    for A in (integer_set(rng.sample(range(10**9), n)), integer_range(0, n), z16):
+    interval = integer_range(0, n)
+    for A in (integer_set(rng.sample(range(10**9), n)), interval, z16):
         for mode, pairs in (("difference", n * (n - 1) // 2), ("sum", n * (n + 1) // 2),
                             ("product", n * (n + 1) // 2)):
             if mode not in A.ambient.modes:
                 continue
             composed.clear()
             hist = rep_histogram(A, A, mode)
-            assert composed == [("half", pairs)], (A.ambient, mode)
+            if A is interval and mode != "product":
+                assert (composed, hist.path) == ([], CONVOLUTION), mode
+            else:
+                assert (composed, hist.path) == ([("half", pairs)], HALF_PAIRS), (A.ambient, mode)
             assert hist.total_pairs == n * n
     composed.clear()
     z40 = GroundSet.from_iterable(AmbientSpec.mod(2**40), rng.sample(range(2**40), n))
-    assert rep_histogram(z40, z40, "difference").total_pairs == n * n
+    hist = rep_histogram(z40, z40, "difference")
+    assert (hist.total_pairs, hist.path) == (n * n, ORDERED_PAIRS)
     assert composed == [("ordered", n * n)]
+
+
+def _pair_path_histogram(A, B, mode):
+    """The histogram of A o B with convolution switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_CONV_RATIO", 0)
+        return rep_histogram(A, B, mode)
+
+
+def _same_arrays(hist, want):
+    codes, counts = hist.arrays
+    assert codes.dtype == want.arrays[0].dtype
+    assert codes.tolist() == want.arrays[0].tolist()
+    assert counts.dtype == want.arrays[1].dtype
+    assert counts.tolist() == want.arrays[1].tolist()
+    assert (hist.total_pairs, hist.skipped_pairs) == (want.total_pairs, want.skipped_pairs)
+
+
+def test_convolution_histograms_match_oracle():
+    """Sums and differences on either side of the switch (span product at
+    most _CONV_RATIO times the pairs, then above it) against the oracle."""
+    ratio = counting._CONV_RATIO
+    rng = random.Random(71)
+    z32, f31 = AmbientSpec.mod(32), AmbientSpec.prime_field(31)
+
+    def window(amb, lo, span, n):
+        return GroundSet.from_iterable(amb, [lo, lo + span - 1]
+                                       + rng.sample(range(lo + 1, lo + span - 1), n - 2))
+
+    cases = [
+        # integers with negatives: 40 elements with spans 160 and 161
+        (window(INTEGERS, -100, 160, 40), None, CONVOLUTION),
+        (window(INTEGERS, -100, 161, 40), None, ORDERED_PAIRS),
+        # A != B with unequal spans: 30 * 20 * 16 = 9600 = 120 * 80
+        (window(INTEGERS, -50, 120, 30), window(INTEGERS, 7, 80, 20), CONVOLUTION),
+        (window(INTEGERS, -50, 121, 30), window(INTEGERS, 7, 80, 20), ORDERED_PAIRS),
+        # one-element operands
+        (integer_set([-7]), integer_set([-7]), CONVOLUTION),
+        (integer_set([3]), window(INTEGERS, -20, 16 * ratio, 16), CONVOLUTION),
+        (window(INTEGERS, -20, 16 * ratio + 1, 16), integer_set([3]), ORDERED_PAIRS),
+        # Z/2^5 with its 2-torsion element 16, folded mod 32 on the
+        # convolution side; 8 residues spanning 32 compose pairs
+        (GroundSet.from_iterable(z32, [0, 16, 1, 5, 9, 13, 15, 31]), None, CONVOLUTION),
+        (GroundSet.from_iterable(z32, [0, 16, 31]), None, ORDERED_PAIRS),
+        (GroundSet.from_iterable(z32, [16, 20, 28, 30, 31]),
+         GroundSet.from_iterable(z32, [0, 1, 2, 16]), CONVOLUTION),
+        # F_31 with 0 in A
+        (GroundSet.from_iterable(f31, [0, 3, 4, 10, 11, 19, 29, 30]), None, CONVOLUTION),
+        (GroundSet.from_iterable(f31, [0, 30]), GroundSet.from_iterable(f31, [0, 15, 30]),
+         ORDERED_PAIRS),
+        (GroundSet.from_iterable(f31, [0, 2, 5]), GroundSet.from_iterable(f31, [26, 28, 30]),
+         CONVOLUTION),
+    ]
+    for A, B, path in cases:
+        B = A if B is None else B
+        for mode in ("difference", "sum"):
+            hist = rep_histogram(A, B, mode)
+            assert hist.path == path, (A, B, mode)
+            _check_against_oracle(hist, A, B, mode)
+
+
+INTEGERS = AmbientSpec.integers()
+
+
+def test_convolution_past_the_int64_proof():
+    """Short runs of integers near +-2^62 and +-2^63 and residues of
+    Z/(2^63 + 2) are convolved into Python-int codes, the same codes and
+    dtypes as the pair path gives."""
+    big_n = 2**63 + 2
+    cases = [
+        (integer_set(range(2**62 - 40, 2**62 + 3)), None),
+        (integer_set(range(-2**62 - 5, -2**62 + 30)), integer_set(range(2**62 - 3, 2**62 + 9))),
+        (integer_set([2**63 - 1, 2**63 - 4, 2**63 - 2]), integer_set([-2**63 + 1, -2**63 + 3])),
+        (GroundSet.from_iterable(AmbientSpec.mod(big_n), [big_n - 5, big_n - 3, big_n - 2, big_n - 1]),
+         None),
+    ]
+    for A, B in cases:
+        B = A if B is None else B
+        for mode in ("difference", "sum"):
+            hist = rep_histogram(A, B, mode)
+            assert hist.path == CONVOLUTION
+            assert hist.arrays[0].dtype == object
+            _same_arrays(hist, _pair_path_histogram(A, B, mode))
+            _check_against_oracle(hist, A, B, mode)
+
+
+def test_convolution_switch_workloads():
+    """[1, 4096] convolves; 4096 random points of [0, 16384) and 3000
+    residues of Z/2^16 compose pairs."""
+    rng = random.Random(72)
+    interval = integer_range(1, 4097)
+    spread = integer_set(rng.sample(range(16384), 4096))
+    z16 = GroundSet.from_iterable(AmbientSpec.mod(2**16), rng.sample(range(2**16), 3000))
+    for A, path in ((interval, CONVOLUTION), (spread, HALF_PAIRS), (z16, HALF_PAIRS)):
+        for mode in ("difference", "sum"):
+            assert rep_histogram(A, A, mode).path == path, (len(A), mode)
+
+
+@st.composite
+def _dense_operands(draw):
+    """Two sets of one ambient, each holding at least half of a window of
+    at most 40 consecutive integers or residues (not wrapping round the
+    modulus), so that their sums and differences are convolved."""
+    kind = draw(st.sampled_from(["integers", "mod", "field"]))
+    if kind == "integers":
+        amb, lo_min, lo_max = INTEGERS, -2**63 + 1, 2**63 - 41
+    else:
+        modulus = draw(st.sampled_from([41, 64, 101]) if kind == "mod"
+                       else st.sampled_from([41, 43, 47]))
+        amb = AmbientSpec.mod(modulus) if kind == "mod" else AmbientSpec.prime_field(modulus)
+        lo_min, lo_max = 0, modulus - 40
+    near = st.sampled_from([lo_min, lo_max, -2**62 - 20, 2**62 - 20, 0]).filter(
+        lambda lo: lo_min <= lo <= lo_max)
+    sets = []
+    for _ in range(2):
+        lo = draw(st.integers(lo_min, lo_max) | near)
+        mask = draw(st.lists(st.booleans(), min_size=1, max_size=40))
+        sets.append(GroundSet.from_iterable(
+            amb, [lo + i for i, keep in enumerate(mask) if keep or i % 2 == 0]))
+    return sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_operands(), st.booleans(), st.sampled_from(["difference", "sum"]))
+def test_convolution_matches_pair_path(operands, with_itself, mode):
+    A, B = operands
+    B = A if with_itself else B
+    hist = rep_histogram(A, B, mode)
+    assert hist.path == CONVOLUTION
+    _same_arrays(hist, _pair_path_histogram(A, B, mode))
 
 
 def test_max_count_exclusions_match_oracle():

@@ -194,6 +194,22 @@ def test_plane_pairs_as_lists_rejected():
         GroundSet(plane, ((1, 0), (0, 2)))
 
 
+def test_from_iterable_equals_checked_construction():
+    # from_iterable skips the constructor's checks; what it returns passes them
+    cases = [(AmbientSpec.integers(), [5, -3, 5, 2**63 - 1, -(2**63 - 1)]),
+             (AmbientSpec.mod(12), [11, 0, 11, 5]),
+             (AmbientSpec.prime_field(13), [12, 0]),
+             (AmbientSpec.plane(3), [[2, 0], (1, 2), [1, 2]]),
+             (AmbientSpec.integers(), [])]
+    for amb, raw in cases:
+        G = GroundSet.from_iterable(amb, raw, label="g")
+        checked = GroundSet(amb, G.elements, "g")
+        assert G == checked and hash(G) == hash(checked) and G.label == "g"
+        assert G.members == checked.members and list(G) == list(checked.elements)
+    with pytest.raises(NonCanonicalElement):  # canonicalising still checks each element
+        GroundSet.from_iterable(AmbientSpec.mod(12), [3, 12])
+
+
 def test_serialize_is_json():
     A = integer_range(0, 4)
     obj = json.loads(serialize_set(A))
