@@ -170,6 +170,33 @@ def value_order(amb: AmbientSpec, mode: str, codes: np.ndarray) -> np.ndarray | 
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
 
 
+def sort_codes(flat: np.ndarray) -> np.ndarray:
+    """The codes of `flat` in increasing order.  int64 codes are sorted in
+    place, so no second array of their size is made; Python-int codes are
+    sorted as a list, several times faster than numpy's sort of an object
+    array."""
+    if flat.dtype == object:
+        return np.array(sorted(flat.tolist()), dtype=object)
+    flat.sort()
+    return flat
+
+
+def run_starts(flat: np.ndarray) -> np.ndarray:
+    """Mask of the positions of sorted codes where a run of equal codes
+    starts."""
+    new = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    return new
+
+
+def unique_codes(flat: np.ndarray) -> np.ndarray:
+    """The distinct codes of a fresh array, in increasing order; the array
+    is consumed.  A sort and its runs: numpy 2.4's hashing `np.unique`
+    took 0.63 s on 10^6 int64 codes, against 0.024 s."""
+    flat = sort_codes(flat)
+    return flat[run_starts(flat)]
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .ambient import (
     ELEMENT_MAX,
     INTEGERS,
@@ -26,7 +24,7 @@ from .ambient import (
     canonical_element,
     compose,
 )
-from .codes import decode, pair_codes
+from .codes import decode, pair_codes, unique_codes
 from .errors import (
     AmbientMismatch,
     DuplicateElement,
@@ -121,7 +119,7 @@ def set_compose(A: GroundSet, B: GroundSet, mode: str,
             "elements; use rep_histogram for exact ratio statistics"
         )
     flat, _ = pair_codes(amb, mode, A.elements, B.elements, skip_noninvertible)
-    out = tuple(decode(amb, mode, np.unique(flat)))
+    out = tuple(decode(amb, mode, unique_codes(flat)))
     if amb.kind == INTEGERS and out and max(-out[0], out[-1]) > ELEMENT_MAX:
         raise OverflowBudgetExceeded(f"{mode} of elements exceeds the 64-bit element budget")
     return GroundSet(amb, out)

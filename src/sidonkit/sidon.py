@@ -255,6 +255,31 @@ def sid_k_greedy(A: GroundSet, k: int, mode: str = DIFFERENCE,
     return GroundSet.from_iterable(A.ambient, [elems[j] for j in chosen])
 
 
+def _progression_start(amb: AmbientSpec, mode: str, elems: list) -> int:
+    """Smallest i such that elems[i:] steps by one constant difference d
+    in the group, elems[j+1] = elems[j] + d, in difference and sum mode;
+    len(elems) in product and ratio mode, where a translation does not
+    keep the profile."""
+    n = len(elems)
+    if mode not in (DIFFERENCE, SUM):
+        return n
+    i = max(n - 2, 0)
+    while i and (compose_value(amb, DIFFERENCE, elems[i], elems[i - 1])
+                 == compose_value(amb, DIFFERENCE, elems[-1], elems[-2])):
+        i -= 1
+    return i
+
+
+def _mirrored(amb: AmbientSpec, mode: str, elems: list) -> bool:
+    """Is elems[j] + elems[n-1-j] one constant m for every j, in difference
+    and sum mode?  Then x -> m - x maps the elements onto themselves in
+    reverse order."""
+    if mode not in (DIFFERENCE, SUM):
+        return False
+    n = len(elems)
+    return len({compose_value(amb, SUM, elems[j], elems[n - 1 - j]) for j in range(n)}) <= 1
+
+
 def sid_k_exact(A: GroundSet, k: int, mode: str = DIFFERENCE,
                 cap: int = 40) -> tuple[int, GroundSet]:
     """Exact maximum subset size under the multiplicity budget, plus one
@@ -270,7 +295,24 @@ def sid_k_exact(A: GroundSet, k: int, mode: str = DIFFERENCE,
     subset.  Every ordered pair of A is composed once up front, so the
     search itself only moves integer counters.  The canonical-order greedy
     pass is the warm start: when its part inside a suffix already has
-    c[i+1] + 1 elements, that suffix is not searched."""
+    c[i+1] + 1 elements, that suffix is not searched.
+
+    In difference and sum mode a translation x -> x + d and a reflection
+    x -> m - x keep the multiset of multiplicities (sums move to
+    v + 2d or 2m - v, differences to v or -v, and r(v) = r(-v)), so an
+    image of a subset fits exactly when the subset does.  Two such maps
+    force the top element elems[n-1] into the search for c[i]:
+    - translation: when elems[i:] is a progression with step d, a subset
+      S of elems[i:n-1] has S + d inside elems[i+1:], so |S| <= c[i+1];
+    - reflection, at i = 0 only: when elems[j] + elems[n-1-j] = m for
+      every j (every D = A - A and every interval), a subset that misses
+      elems[n-1] has its mirror inside elems[1:].
+    The search for c[i] then starts from {elems[i], elems[n-1]}, draws
+    from elems[i+1:n-1] and prunes with |chosen| - 1 + c[j] <= c[i+1], as
+    c[j] may count the top.  Every subset it is after holds the top, so
+    it meets them in the same order, and maxima and witnesses do not
+    change.  Neither map keeps a product or ratio profile, so those
+    modes search as before."""
     if len(A) > cap:
         raise CapExceeded(f"|A| = {len(A)} exceeds the search cap {cap}")
     if k < 1:
@@ -281,21 +323,24 @@ def sid_k_exact(A: GroundSet, k: int, mode: str = DIFFERENCE,
     budget = _Budget(A.ambient, mode, elems, k)
     rows = [list(budget.row(j, range(n)).values()) for j in range(n)]
     insert, pop, chosen = budget.insert, budget.pop, budget.chosen
+    progression = _progression_start(A.ambient, mode, elems)
+    mirrored = _mirrored(A.ambient, mode, elems)
     c = [0] * (n + 1)
     best: list[int] = []
 
-    def extend(start: int, target: int) -> bool:
-        """Grow `chosen` from elems[start:] to target + 1 elements."""
+    def extend(start: int, target: int, top: int) -> bool:
+        """Grow `chosen` from elems[start:n - top] to target + 1 elements;
+        top is 1 when `chosen` already holds elems[n-1]."""
         size = len(chosen)
         if size > target:
             best[:] = chosen
             return True
-        for j in range(start, n):
-            if size + c[j] <= target:
+        for j in range(start, n - top):
+            if size - top + c[j] <= target:
                 return False
             row = rows[j]
             if insert(j, row):
-                found = extend(j + 1, target)
+                found = extend(j + 1, target, top)
                 pop(row)
                 if found:
                     return True
@@ -308,7 +353,13 @@ def sid_k_exact(A: GroundSet, k: int, mode: str = DIFFERENCE,
             c[i] = len(tail)
             continue
         insert(i, rows[i])
-        c[i] = c[i + 1] + extend(i + 1, c[i + 1])
+        top = int(i < n - 1 and (i >= progression or (i == 0 and mirrored)))
+        if top and not insert(n - 1, rows[n - 1]):
+            c[i] = c[i + 1]
+        else:
+            c[i] = c[i + 1] + extend(i + 1, c[i + 1], top)
+            if top:
+                pop(rows[n - 1])
         pop(rows[i])
     return c[0], GroundSet.from_iterable(A.ambient, [elems[j] for j in best])
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -114,6 +115,27 @@ def test_exact_witness_verifies(set_file, tmp_path, capsys):
     witness = tmp_path / "witness.json"
     witness.write_text(json.dumps(result["witness"]))
     assert run_cli(["verify", "--set", str(witness), "--g", "1"], capsys)[0] == 0
+
+
+# sha256 of the `exact` report on stdout, with the set's path written as
+# SET, recorded before the search forced the top element
+EXACT_REPORTS = {
+    "integer_range(0, 30), k = 2":
+        (lambda: integer_range(0, 30), "2",
+         "27e6fdf663a9abc5b5644abb810a2111fc3809369378389dff3e3b040c07f62e"),
+    "Z/31, k = 1":
+        (lambda: GroundSet.from_iterable(AmbientSpec.mod(31), range(31)), "1",
+         "11e087c124a3213428ea41ce81a42b391976942aad85574b7caf824fea878a51"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_REPORTS))
+def test_exact_report_bytes(name, set_file, capsys):
+    make, k, digest = EXACT_REPORTS[name]
+    path = set_file(make())
+    code, out, _ = run_cli(["exact", "--set", path, "--k", k], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.replace(path, "SET").encode()).hexdigest() == digest
 
 
 def test_reports_byte_identical(set_file, tmp_path, capsys):

@@ -29,7 +29,7 @@ from sidonkit import (
     popular_level_set,
     rep_histogram,
 )
-from sidonkit import DivisionByZero, counting
+from sidonkit import DivisionByZero, codes, counting
 from sidonkit.codes import code_dtype
 from sidonkit.counting import (
     CONVOLUTION,
@@ -463,11 +463,12 @@ def test_int64_edge_stays_exact():
 
 
 class _BackendSpy:
-    """Stands in for numpy, for the builtin `sorted` and for `_sort_codes`
-    inside `counting`, and records which counting routine a histogram used:
-    "bincount", "in-place sort" for numpy's sort of int64 codes in place,
-    or "sort" for the list sort of Python-int codes.  A histogram built by
-    convolution uses none of them and is recorded as "convolution"."""
+    """Stands in for numpy and for `sort_codes` inside `counting`, and for
+    the builtin `sorted` inside `codes`, and records which counting routine
+    a histogram used: "bincount", "in-place sort" for numpy's sort of int64
+    codes in place, or "sort" for the list sort of Python-int codes.  A
+    histogram built by convolution uses none of them and is recorded as
+    "convolution"."""
 
     def __init__(self, sort_codes):
         self.used = []
@@ -496,10 +497,10 @@ class _BackendSpy:
 
 def _spied_histogram(monkeypatch, A, B, mode, skip_noninvertible=False):
     """(counting routines used, histogram)."""
-    spy = _BackendSpy(counting._sort_codes)
+    spy = _BackendSpy(counting.sort_codes)
     monkeypatch.setattr(counting, "np", spy)
-    monkeypatch.setattr(counting, "sorted", spy.sorted, raising=False)
-    monkeypatch.setattr(counting, "_sort_codes", spy.sort_codes)
+    monkeypatch.setattr(codes, "sorted", spy.sorted, raising=False)
+    monkeypatch.setattr(counting, "sort_codes", spy.sort_codes)
     hist = rep_histogram(A, B, mode, skip_noninvertible)
     monkeypatch.undo()
     if hist.path == CONVOLUTION:

@@ -1,5 +1,7 @@
 import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from sidonkit import (
     set_compose,
     shift_set,
 )
+from sidonkit.codes import unique_codes
 
 
 def test_set_compose_examples():
@@ -55,6 +58,19 @@ def test_set_compose_ratio():
     assert ok.elements == (1, 4, 5)  # {1,2,3} / {2} mod 7
     with pytest.raises(UnsupportedMode):
         set_compose(integer_set([1, 2]), integer_set([1, 2]), "ratio")
+
+
+def test_unique_codes_is_sorted_set():
+    rng = random.Random(71)
+    small = [rng.randrange(-50, 50) for _ in range(400)]
+    big = small + [2**62 * rng.choice((-3, 3)) + x for x in small[:40]]
+    for values, dtype in ((small, np.int64), (big, object), ([], np.int64), ([], object)):
+        got = unique_codes(np.array(values, dtype=dtype))
+        assert got.dtype == dtype and got.tolist() == sorted(set(values))
+    A = integer_set(rng.sample(range(-10**6, 10**6), 300))
+    assert list(set_compose(A, A, "sum").elements) == sorted({a + b for a in A for b in A})
+    A = integer_set([2**62 + x for x in rng.sample(range(10**6), 60)] + [0, 1, 2])
+    assert list(set_compose(A, A, "difference").elements) == sorted({a - b for a in A for b in A})
 
 
 def test_set_compose_matches_oracle():

@@ -20,12 +20,13 @@ from sidonkit import (
     extract_random,
     integer_range,
     integer_set,
+    set_compose,
     sid_k_exact,
     sid_k_greedy,
     verify_bfamily,
     verify_multiplicity,
 )
-from sidonkit.sidon import MAX_TRIALS
+from sidonkit.sidon import MAX_TRIALS, _mirrored, _progression_start
 
 
 def test_verify_multiplicity_examples():
@@ -148,9 +149,38 @@ def test_greedy_is_maximal():
             assert verify_multiplicity(integer_set(out.elements + (a,)), 2) is not None
 
 
+def _forced_top_corpus():
+    """(A, modes, progression start, mirrored) for sets that reach each
+    forced-top branch of `sid_k_exact`, and for sets where nothing is
+    forced."""
+    plane5 = [(0, 0)] + [(j, (1 + 2 * j) % 5) for j in range(5)]  # head, then step (1, 2)
+    A = integer_set([0, 1, 3, 7])
+    return [
+        (GroundSet.from_iterable(AmbientSpec.mod(11), [8, 10, 1, 3]), ("difference", "sum"),
+         2, True),
+        (GroundSet.from_iterable(AmbientSpec.mod(8), [5, 7, 1, 3]), ("difference", "sum"),
+         0, True),
+        (GroundSet.from_iterable(AmbientSpec.mod(12), range(12)), ("difference", "sum"), 0, True),
+        (GroundSet.from_iterable(AmbientSpec.plane(5), plane5), ("difference", "sum"), 1, False),
+        (GroundSet.from_iterable(AmbientSpec.plane(3), [(0, 0), (0, 2), (1, 0), (2, 1)]),
+         ("difference", "sum"), 1, False),
+        (GroundSet.from_iterable(AmbientSpec.prime_field(13), [0, 2, 5, 8, 9, 10, 11, 12]),
+         ("difference", "sum"), 3, False),
+        (GroundSet.from_iterable(AmbientSpec.prime_field(11), range(11)), ("sum",), 0, True),
+        (integer_set([-9, -4, 0, 3, 6, 9, 12, 15, 18]), ("difference", "sum"), 2, False),
+        (set_compose(A, A, "difference"), ("difference", "sum"), 11, True),
+        (integer_set([0, 1, 3, 7, 9, 10]), ("difference", "sum"), 4, True),
+        (integer_set([0, 1, 3, 6, 9, 19, 21, 22]), ("difference", "sum"), 6, False),
+        (integer_range(1, 12), ("product",), 11, False),
+        (GroundSet.from_iterable(AmbientSpec.prime_field(13), range(1, 13)), ("product",),
+         12, False),
+    ]
+
+
 def _oracle_corpus():
     """(A, modes) pairs over all four ambients, with the 2-torsion of Z/8,
-    Z/16 and the plane over F_2 (where every nonzero x has x = -x)."""
+    Z/16 and the plane over F_2 (where every nonzero x has x = -x), and
+    the forced-top corpus."""
     rng = random.Random(2002)
     out = []
     for _ in range(4):
@@ -170,7 +200,7 @@ def _oracle_corpus():
     for p in (2, 3):
         plane = [(x, y) for x in range(p) for y in range(p)]
         out.append((GroundSet.from_iterable(AmbientSpec.plane(p), plane), ("difference", "sum")))
-    return out
+    return out + [(A, modes) for A, modes, _, _ in _forced_top_corpus()]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -198,6 +228,51 @@ def test_sid_k_exact_golomb_rulers():
         if L <= 11:  # the table's small entries, re-derived by enumeration
             assert oracle_sid_k_max("integers", None, "difference", range(L + 1), 1) == expected
         assert sid_k_exact(integer_range(0, L + 1), 1)[0] == expected, L
+
+
+def test_forced_top_conditions():
+    Z = AmbientSpec.integers()
+    assert _progression_start(Z, "difference", [0, 1, 2, 3]) == 0
+    assert _progression_start(Z, "sum", [-9, -4, 0, 3, 6, 9]) == 2
+    assert _progression_start(Z, "difference", [0, 1, 3, 7]) == 2
+    for elems in ([], [5], [1, 7]):  # n <= 2: every suffix is a progression
+        assert _progression_start(Z, "difference", elems) == 0
+        assert _mirrored(Z, "sum", elems)
+    # the step is taken in the group: this plane line wraps round in y
+    assert _progression_start(AmbientSpec.plane(3), "difference", [(0, 2), (1, 0), (2, 1)]) == 0
+    assert not _mirrored(Z, "difference", [0, 1, 3, 7])
+    for mode in ("product", "ratio"):  # neither map keeps a product profile
+        assert _progression_start(Z, mode, [1, 2, 3, 4]) == 4
+        assert _progression_start(Z, mode, [1, 2]) == 2
+        assert not _mirrored(Z, mode, [1, 2, 3, 4])
+    for A, modes, start, mirrored in _forced_top_corpus():
+        for mode in modes:
+            elems = list(A.elements)
+            assert _progression_start(A.ambient, mode, elems) == start, (A, mode)
+            assert _mirrored(A.ambient, mode, elems) == mirrored, (A, mode)
+
+
+def _pinned_d():
+    A = integer_set([16, 20, 24, 26, 32, 47, 51, 52])  # third set of the diffset test
+    return set_compose(A, A, "difference")
+
+
+# Witnesses of the search before the forced top: the forced search meets
+# the same subsets in the same order, so it must return these unchanged.
+PINNED_WITNESSES = [
+    (lambda: integer_range(0, 30), 1, [4, 5, 8, 14, 22, 27, 29]),
+    (lambda: integer_range(0, 30), 2, [0, 1, 2, 6, 11, 14, 18, 21, 27, 29]),
+    (lambda: GroundSet.from_iterable(AmbientSpec.mod(31), range(31)), 1,
+     [13, 14, 17, 23, 25, 30]),
+    (_pinned_d, 1, [-26, -25, -21, -6, -4, 8, 19, 26, 32, 35]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_WITNESSES)))
+def test_sid_k_exact_pinned_witnesses(case):
+    make, k, want = PINNED_WITNESSES[case]
+    size, witness = sid_k_exact(make(), k, cap=120)
+    assert (size, list(witness.elements)) == (len(want), want)
 
 
 def test_ratio_mode_counts_ordered_pairs():
