@@ -8,6 +8,7 @@ exact integers against those rationals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,9 +21,10 @@ from .ambient import (
     SUM,
     compose_value,
 )
+from .codes import decode, pair_codes, unique_codes
 from .counting import difference_histogram, rep_histogram
 from .errors import CapExceeded, PreconditionFailed
-from .groundset import GroundSet, set_compose
+from .groundset import GroundSet, set_compose, translate_intersection
 from .sidon import BFamilyParams, sid_k_exact, verify_bfamily, verify_multiplicity
 
 TUPLE_CAP = 2_000_000    # offset tuples heritability_slice may enumerate
@@ -208,29 +210,20 @@ def co_sidon_check(X: GroundSet, Y: GroundSet) -> bool:
 # ---------------------------------------------------------------------------
 # Heritability
 
-def _slice_set(S: GroundSet, X: GroundSet) -> GroundSet:
-    """Intersection of the translates S + x over x in X."""
-    members = [y for y in _translate_universe(S, X)
-               if all(compose_value(S.ambient, DIFFERENCE, y, x) in S.members for x in X)]
-    return GroundSet.from_iterable(S.ambient, members)
-
-
-def _translate_universe(S: GroundSet, X: GroundSet):
-    x0 = X.elements[0]
-    return {compose_value(S.ambient, SUM, s, x0) for s in S}
-
-
 def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int) -> BoundReport:
     """Exhaustively verifies that the slice sets S_{X_i} = ^_{x in X_i}(S+x)
     keep all their own shifted intersections below k, for every tuple of
     pairwise-distinct nonzero offsets within the finite support window.
 
-    Hypotheses checked first: S in the (k, g) family, sum of |X_i| at least
-    g + C(l,2) + 1, and every pair (X_i, X_j) a co-Sidon pair.
+    Hypotheses checked first: every X_i nonempty, S in the (k, g) family,
+    sum of |X_i| at least g + C(l,2) + 1, and every pair (X_i, X_j) a
+    co-Sidon pair.
     """
     l = len(shift_sets)
     if l < 2:
         raise PreconditionFailed("need at least two shift sets")
+    if not all(shift_sets):
+        raise PreconditionFailed("every shift set X_i must be nonempty")
     if verify_bfamily(S, BFamilyParams(k, g)) is not None:
         raise PreconditionFailed(f"S is not in the ({k}, {g}) intersection family")
     total = sum(len(X) for X in shift_sets)
@@ -242,14 +235,12 @@ def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int
             if not co_sidon_check(shift_sets[i], shift_sets[j]):
                 raise PreconditionFailed(f"(X_{i + 1}, X_{j + 1}) is not a co-Sidon pair")
     amb = S.ambient
-    zero = amb.identity(DIFFERENCE)
-    slices = [_slice_set(S, X) for X in shift_sets]
+    slices = [translate_intersection(S, X.elements) for X in shift_sets]
     base = slices[0]
     offset_ranges = []
-    for i in range(1, l):
-        opts = sorted({compose_value(amb, DIFFERENCE, b, y)
-                       for b in base for y in slices[i]} - {zero})
-        offset_ranges.append(opts)
+    for T in slices[1:]:
+        opts = unique_codes(pair_codes(amb, DIFFERENCE, base.elements, T.elements)[0])
+        offset_ranges.append(decode(amb, DIFFERENCE, opts[opts != 0]))  # code 0 is zero
     count = 1
     for opts in offset_ranges:
         count *= max(1, len(opts))
@@ -257,7 +248,9 @@ def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int
         raise CapExceeded(f"{count} offset tuples exceed the cap {TUPLE_CAP}")
     violations = []
     checked = 0
-    for combo in _distinct_tuples(offset_ranges):
+    for combo in itertools.product(*offset_ranges):
+        if len(set(combo)) < len(combo):
+            continue  # the offsets must be pairwise distinct
         checked += 1
         common = [y for y in base
                   if all(compose_value(amb, DIFFERENCE, y, z) in slices[i + 1].members
@@ -272,23 +265,6 @@ def heritability_slice(S: GroundSet, shift_sets: list[GroundSet], k: int, g: int
                        {"tuples_checked": checked,
                         "slice_sizes": [len(T) for T in slices],
                         "violations": violations[:10]})
-
-
-def _distinct_tuples(ranges):
-    if not ranges:
-        yield ()
-        return
-    def rec(i, acc):
-        if i == len(ranges):
-            yield tuple(acc)
-            return
-        for z in ranges[i]:
-            if z in acc:
-                continue
-            acc.append(z)
-            yield from rec(i + 1, acc)
-            acc.pop()
-    yield from rec(0, [])
 
 
 def _has_two_torsion(S: GroundSet) -> bool:
@@ -317,8 +293,7 @@ def sidon_slice_audit(S: GroundSet) -> BoundReport:
     for w in hist.values():
         if w == zero:
             continue
-        slice_w = GroundSet.from_iterable(
-            amb, (y for y in S if compose_value(amb, DIFFERENCE, y, w) in S.members))
+        slice_w = translate_intersection(S, (zero, w))
         slices += 1
         max_slice = max(max_slice, len(slice_w))
         if verify_multiplicity(slice_w, 1, DIFFERENCE) is not None:

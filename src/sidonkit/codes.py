@@ -197,6 +197,16 @@ def unique_codes(flat: np.ndarray) -> np.ndarray:
     return flat[run_starts(flat)]
 
 
+def find_codes(codes: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The position of each code of `query` in the increasing `codes`, or -1
+    where it is absent: every membership test of a composed value."""
+    pos = np.searchsorted(codes, query)
+    found = pos < codes.size
+    found[found] = codes[pos[found]] == query[found]
+    pos[~found] = -1
+    return pos
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 

@@ -57,7 +57,6 @@ from .ambient import (
     SUM,
     AmbientSpec,
     canonical_element,
-    compose_value,
     negate,
 )
 from .codes import (
@@ -66,6 +65,7 @@ from .codes import (
     decode,
     diagonal_codes,
     element_codes,
+    find_codes,
     negate_codes,
     pair_codes,
     run_starts,
@@ -75,7 +75,7 @@ from .codes import (
     value_order,
 )
 from .errors import AmbientMismatch, CapExceeded, UnsupportedMode
-from .groundset import GroundSet
+from .groundset import GroundSet, translate_intersection
 
 
 # The ways a histogram is built, recorded as `RepHistogram.path`.
@@ -110,13 +110,11 @@ class RepHistogram:
         return decode(self.ambient, self.mode, codes)
 
     def _positions(self, values) -> np.ndarray:
-        """Index of each value in the code array, -1 where absent, from one
-        searchsorted."""
-        codes, found = value_codes(self.ambient, self.mode, values, self._codes.dtype)
-        pos = np.searchsorted(self._codes, codes)
-        found &= pos < self._codes.size
-        found[found] = self._codes[pos[found]] == codes[found]
-        return np.where(found, pos, -1)
+        """Index of each value in the code array, -1 where absent."""
+        codes, held = value_codes(self.ambient, self.mode, values, self._codes.dtype)
+        pos = find_codes(self._codes, codes)
+        pos[~held] = -1
+        return pos
 
     def counts(self, values) -> np.ndarray:
         """Counts of many values, in input order, as an int64 array; an
@@ -576,9 +574,8 @@ def _chains(codes: np.ndarray, amb: AmbientSpec, d) -> tuple[np.ndarray, int, in
     longest possible path.  The edges on no path lie on cycles."""
     n = codes.size
     succ = compose_codes(amb, SUM, codes, element_codes(amb, [d], codes.dtype))
-    pos = np.searchsorted(codes, succ)
-    has = pos < n
-    has[has] = codes[pos[has]] == succ[has]
+    pos = find_codes(codes, succ)
+    has = pos >= 0
     jump = np.append(np.where(has, pos, n), n)
     dist = np.append(has.astype(np.int64), 0)
     edges = int(np.count_nonzero(has))
@@ -668,12 +665,8 @@ def energy_prime_k(A: GroundSet, k: int, within_pairs_only: bool = False) -> int
 def intersection_size(A: GroundSet, shifts) -> int:
     """|A  intersect  (A+s_1)  intersect ... | exactly."""
     amb = A.ambient
-    shifts = [canonical_element(amb, s) for s in shifts]
-    count = 0
-    for x in A:
-        if all(compose_value(amb, DIFFERENCE, x, s) in A.members for s in shifts):
-            count += 1
-    return count
+    shifts = [amb.identity(DIFFERENCE)] + [canonical_element(amb, s) for s in shifts]
+    return len(translate_intersection(A, shifts))
 
 
 def common_energy(A: GroundSet, B: GroundSet) -> int:

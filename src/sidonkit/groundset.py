@@ -14,17 +14,20 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ambient import (
+    DIFFERENCE,
     ELEMENT_MAX,
     INTEGERS,
     MOD_N,
     PLANE,
     PRIME_FIELD,
     RATIO,
+    SUM,
     AmbientSpec,
     canonical_element,
     compose,
 )
-from .codes import decode, pair_codes, unique_codes
+from .codes import (code_dtype, compose_codes, decode, element_codes, find_codes, pair_codes,
+                    unique_codes)
 from .errors import (
     AmbientMismatch,
     DuplicateElement,
@@ -50,14 +53,19 @@ class GroundSet:
             raise NonCanonicalElement("elements must be strictly sorted and distinct")
 
     @classmethod
-    def from_iterable(cls, ambient: AmbientSpec, it, label: str | None = None) -> "GroundSet":
-        """Canonicalize, dedupe, and sort an arbitrary iterable of elements.
-        The result is canonical, sorted and distinct by construction, so
-        `__post_init__` does not check it again."""
-        canon = {canonical_element(ambient, x) for x in it}
+    def _trusted(cls, ambient: AmbientSpec, elements: tuple,
+                 label: str | None = None) -> "GroundSet":
+        """A set of elements that are already canonical, strictly sorted and
+        distinct, built without `__post_init__`'s checks."""
         out = cls.__new__(cls)
-        out.__dict__.update(ambient=ambient, elements=tuple(sorted(canon)), label=label)
+        out.__dict__.update(ambient=ambient, elements=elements, label=label)
         return out
+
+    @classmethod
+    def from_iterable(cls, ambient: AmbientSpec, it, label: str | None = None) -> "GroundSet":
+        """Canonicalize, dedupe, and sort an arbitrary iterable of elements."""
+        canon = {canonical_element(ambient, x) for x in it}
+        return cls._trusted(ambient, tuple(sorted(canon)), label)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -73,10 +81,11 @@ class GroundSet:
         return frozenset(self.elements)
 
     def with_label(self, label: str | None) -> "GroundSet":
-        return GroundSet(self.ambient, self.elements, label)
+        return GroundSet._trusted(self.ambient, self.elements, label)
 
     def restrict(self, predicate) -> "GroundSet":
-        return GroundSet(self.ambient, tuple(x for x in self.elements if predicate(x)))
+        return GroundSet._trusted(self.ambient,
+                                  tuple(x for x in self.elements if predicate(x)))
 
     def to_dict(self) -> dict:
         d = {"ambient": self.ambient.to_dict(),
@@ -122,7 +131,22 @@ def set_compose(A: GroundSet, B: GroundSet, mode: str,
     out = tuple(decode(amb, mode, unique_codes(flat)))
     if amb.kind == INTEGERS and out and max(-out[0], out[-1]) > ELEMENT_MAX:
         raise OverflowBudgetExceeded(f"{mode} of elements exceeds the 64-bit element budget")
-    return GroundSet(amb, out)
+    return GroundSet._trusted(amb, out)
+
+
+def translate_intersection(S: GroundSet, shifts) -> GroundSet:
+    """The intersection of S + x over the canonical elements x of `shifts`
+    (nonempty): y = s + x_0 is kept when every y - x is found in S's codes,
+    which are int64 wherever s + x_0 - x provably fits.  A kept integer
+    beyond the element budget raises OverflowBudgetExceeded."""
+    amb = S.ambient
+    dtype = code_dtype(amb, SUM, S.elements, shifts, terms=3)
+    codes = element_codes(amb, S.elements, dtype)
+    x = element_codes(amb, shifts, dtype)
+    y = compose_codes(amb, SUM, codes, x[:1])
+    for i in range(1, x.size):
+        y = y[find_codes(codes, compose_codes(amb, DIFFERENCE, y, x[i:i + 1])) >= 0]
+    return GroundSet.from_iterable(amb, decode(amb, SUM, y))
 
 
 def affine_image(A: GroundSet, scale, shift) -> GroundSet:

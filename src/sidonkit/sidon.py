@@ -58,8 +58,8 @@ class BFamilyParams:
 @dataclass(frozen=True)
 class ViolationWitness:
     """Either a single over-popular value (multiplicity form) or g distinct
-    nonzero shifts with k common elements (intersection form); re-checking
-    against the set reproduces the violation."""
+    nonzero shifts with k distinct common elements (intersection form);
+    re-checking against the set reproduces the violation."""
 
     kind: str                    # "multiplicity" | "intersection"
     mode: str = DIFFERENCE
@@ -78,7 +78,7 @@ class ViolationWitness:
         zero = amb.identity(DIFFERENCE)
         if len(set(self.shifts)) != len(self.shifts) or zero in self.shifts:
             return False
-        if len(self.elements) < self.k:
+        if len(set(self.elements)) < self.k:
             return False
         for w in self.elements:
             if w not in S.members:

@@ -15,6 +15,7 @@ seeded extraction trials included), and every field must match.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .ambient import (
     compose_value,
 )
 from .bounds import ceil_sqrt, integer_kth_root
-from .codes import code_dtype, compose_codes, element_codes
+from .codes import code_dtype, compose_codes, decode, element_codes, find_codes, pair_codes
 from .counting import (
     difference_histogram,
     dyadic_best_level,
@@ -255,22 +256,23 @@ def popular_symmetry_set(A: GroundSet, theta: int) -> GroundSet:
 # ---------------------------------------------------------------------------
 # Rigid structure
 
-def _popularity_edges(P: GroundSet, M: int) -> set:
-    """Difference values v with 4 M^2 r_{P-P}(v) >= |P|, excluding zero."""
-    hist = difference_histogram(P)
-    zero = P.ambient.identity(DIFFERENCE)
+def _popularity_edges(P: GroundSet, M: int) -> np.ndarray:
+    """Codes of the difference values v != 0 with 4 M^2 r_{P-P}(v) >= |P|,
+    in increasing order."""
+    codes, counts = difference_histogram(P).arrays
     threshold = -(-len(P) // (4 * M * M))  # smallest integer count passing 4 M^2 c >= |P|
-    return {v for v in hist.values_with_count_at_least(threshold) if v != zero}
+    return codes[(counts >= threshold) & (codes != 0)]  # code 0 is the zero difference
 
 
-def _max_degree_vertex(P: GroundSet, good: set):
+def _max_degree_vertex(P: GroundSet, good: np.ndarray):
     """Vertex of the popularity graph with the most neighbors; ties go to
     the smallest element (elements are scanned in canonical order).  `good`
-    holds no zero difference, so no vertex counts itself."""
+    holds the codes of the popular differences, none of them zero, so no
+    vertex counts itself."""
     amb = P.ambient
     dtype = code_dtype(amb, DIFFERENCE, P.elements)
     codes = element_codes(amb, P.elements, dtype)
-    good_codes = element_codes(amb, sorted(good), dtype)
+    good_codes = good.astype(dtype, copy=False)
     degs = np.zeros(codes.size, dtype=np.int64)
     chunk = max(1, 2**22 // codes.size)
     for i in range(0, codes.size, chunk):
@@ -284,7 +286,7 @@ def _greedy_disjoint_translates(W, H: GroundSet) -> list:
     """Scan W in canonical order, keeping z whenever H+z avoids every
     translate already kept.  H+w meets H+z exactly when w - z lies in
     H - H, so each kept z marks the later elements it blocks with one
-    searchsorted of their differences to z into the codes of H - H."""
+    lookup of their differences to z in the codes of H - H."""
     amb = H.ambient
     dtype = code_dtype(amb, DIFFERENCE, H.elements, W)
     diffs = difference_histogram(H).arrays[0].astype(dtype, copy=False)
@@ -295,7 +297,7 @@ def _greedy_disjoint_translates(W, H: GroundSet) -> list:
         if free[i]:
             Z.append(z)
             d = compose_codes(amb, DIFFERENCE, w[i + 1:], w[i:i + 1])
-            free[i + 1:] &= diffs[np.searchsorted(diffs, d).clip(max=diffs.size - 1)] != d
+            free[i + 1:] &= find_codes(diffs, d) < 0
     return Z
 
 
@@ -311,16 +313,15 @@ def rigid_structure(A: GroundSet, delta, eps,
     if cert.variant == SMALL_ENERGY:
         return cert
     amb = A.ambient
-    P = GroundSet.from_iterable(amb, _as_elements(amb, cert.core["band"]))
+    P = GroundSet.from_iterable(amb, cert.core["band"])
     if len(P) < 2:
         raise EmptyCore("dyadic band has fewer than 2 elements")
     M = cert.parameters["M"]
     n = len(A)
     good = _popularity_edges(P, M)
     center, _ = _max_degree_vertex(P, good)
-    H = GroundSet.from_iterable(
-        amb, [center] + [q for q in P.elements
-                         if q != center and compose_value(amb, DIFFERENCE, center, q) in good])
+    near = find_codes(good, pair_codes(amb, DIFFERENCE, (center,), P.elements)[0]) >= 0
+    H = GroundSet.from_iterable(amb, [center, *itertools.compress(P.elements, near.tolist())])
     masses = _masses(A, H)
     mass_total = sum(masses.values())
     W = [a for a in A if 2 * n * masses[a] >= mass_total]
@@ -349,13 +350,8 @@ def rigid_core_set(A: GroundSet, cert: StructureCertificate) -> GroundSet:
     amb = A.ambient
     H = _as_elements(amb, cert.rigid["H"])
     Z = _as_elements(amb, cert.rigid["Z"])
-    out = []
-    for z in Z:
-        for h in H:
-            x = compose_value(amb, SUM, h, z)
-            if x in A.members:
-                out.append(x)
-    return GroundSet.from_iterable(amb, out)
+    translates = set(decode(amb, SUM, pair_codes(amb, SUM, H, Z)[0]))
+    return A.restrict(translates.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +445,7 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
     if cert.variant == RIGID_STRUCTURE:
         core = rigid_core_set(A, cert)
     else:
-        core = GroundSet.from_iterable(amb, _as_elements(amb, cert.core["core"]))
+        core = GroundSet.from_iterable(amb, cert.core["core"])
     zero = amb.identity(DIFFERENCE)
     zero_removed = zero in core.members
     if zero_removed:

@@ -50,6 +50,32 @@ def mixed_corpus(seed: int, count: int, max_size: int = 10) -> list[GroundSet]:
     return out
 
 
+def membership_corpus() -> list[tuple[GroundSet, list[tuple]]]:
+    """Sets in the ambients that membership tests treat specially, each with
+    shift tuples: integers with int64 codes and with Python-int codes
+    (+-2^62, +-(2^63 - 1)), Z/2^4 (2-torsion), F_13, and the planes over F_2
+    and F_5.  The shifts are seeded differences of the set, so most
+    intersections are nonempty, plus the set's own extremes."""
+    big = 2**63 - 1
+    sets = [integer_set([0, 1, 2, 4, 5, 8, 9, 11, 14]),
+            integer_set([-big, -2**62, -5, 0, 1, 2, 3, 7, 2**62 - 1, 2**62, big]),
+            GroundSet.from_iterable(AmbientSpec.mod(16), [0, 1, 3, 5, 8, 9, 12, 15]),
+            GroundSet.from_iterable(AmbientSpec.prime_field(13), [0, 1, 2, 4, 6, 9, 12]),
+            GroundSet.from_iterable(AmbientSpec.plane(2), [(0, 0), (0, 1), (1, 1)]),
+            GroundSet.from_iterable(AmbientSpec.plane(5),
+                                    [(0, 0), (1, 1), (1, 2), (2, 4), (3, 1), (4, 4)])]
+    rng = random.Random(19)
+    out = []
+    for S in sets:
+        amb = S.ambient
+        diffs = sorted({oracle_compose(amb.kind, amb.modulus, "difference", a, b)
+                        for a in S for b in S} - {(0, 0), 0})
+        diffs = [d for d in diffs if amb.kind != "integers" or abs(d) <= big]
+        shifts = [tuple(rng.sample(diffs, rng.randint(1, 3))) for _ in range(8)]
+        out.append((S, shifts + [(S.elements[0], S.elements[-1])]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Energy oracles
 

@@ -178,6 +178,8 @@ def test_heritability_preconditions():
         heritability_slice(S, [integer_set([0, 1]), integer_set([0, 1])], 2, 2)  # not co-Sidon
     with pytest.raises(PreconditionFailed):
         heritability_slice(integer_range(0, 9), [integer_set([0, 1]), integer_set([0, 3])], 2, 2)
+    with pytest.raises(PreconditionFailed, match="nonempty"):
+        heritability_slice(S, [integer_set([]), integer_set([0, 1, 3, 7, 12])], 2, 2)
 
 
 def test_plunnecke_examples():

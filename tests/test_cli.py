@@ -106,6 +106,15 @@ def test_budget_exit_3(set_file, capsys):
     assert "budget" in err
 
 
+def test_heritability_empty_shift_set_exit_1(set_file, capsys):
+    args = ["heritability", "--set", set_file(integer_set([0, 1, 3, 7, 8])), "--mode", "general",
+            "--shift-set", set_file(integer_set([]), "x1.json"),
+            "--shift-set", set_file(integer_set([0, 1, 3, 7, 12]), "x2.json")]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert "nonempty" in err and "Traceback" not in err
+
+
 def test_exact_witness_verifies(set_file, tmp_path, capsys):
     Z31 = GroundSet.from_iterable(AmbientSpec.mod(31), range(31))
     code, out, _ = run_cli(["exact", "--set", set_file(Z31), "--k", "1"], capsys)

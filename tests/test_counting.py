@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    membership_corpus,
+    oracle_compose,
     oracle_energy_full,
     oracle_energy_grouped,
     oracle_energy_prime,
@@ -354,6 +356,15 @@ def test_intersection_size_examples():
     assert intersection_size(A, [1, 2]) == 3
     assert intersection_size(A, []) == 5
     assert intersection_size(integer_set([0, 1]), [10]) == 0
+
+
+def test_intersection_size_matches_oracle():
+    for A, shift_tuples in membership_corpus():
+        kind, m = A.ambient.kind, A.ambient.modulus
+        for shifts in [()] + shift_tuples:
+            want = sum(all(oracle_compose(kind, m, "difference", x, s) in A.elements
+                           for s in shifts) for x in A)
+            assert intersection_size(A, shifts) == want, (A.ambient, shifts)
 
 
 def test_common_energy_examples():

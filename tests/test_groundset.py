@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_compose
+from conftest import membership_corpus, oracle_compose
 from sidonkit import (
     AmbientMismatch,
     AmbientSpec,
@@ -25,7 +25,8 @@ from sidonkit import (
     set_compose,
     shift_set,
 )
-from sidonkit.codes import unique_codes
+from sidonkit.codes import code_dtype, find_codes, unique_codes
+from sidonkit.groundset import translate_intersection
 
 
 def test_set_compose_examples():
@@ -230,3 +231,61 @@ def test_serialize_is_json():
     A = integer_range(0, 4)
     obj = json.loads(serialize_set(A))
     assert obj["elements"] == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# Membership through codes, against explicit Python sets
+
+def test_find_codes_matches_list_index():
+    big = 2**63 - 1
+    queries = [-big, -2**62, -8, -7, 0, 1, 3, 9, 10, 2**62, big]
+    for haystack in ([], [-7, 0, 3, 9], [-big, -2**62, 0, 2**62, big]):
+        for dtype in (np.int64, object):
+            pos = find_codes(np.array(haystack, dtype=dtype), np.array(queries, dtype=dtype))
+            assert pos.tolist() == [haystack.index(q) if q in haystack else -1 for q in queries]
+
+
+def _oracle_translates(S: GroundSet, shifts) -> list:
+    """The y = s + x_0 with y - x in S for every x of `shifts`."""
+    kind, m = S.ambient.kind, S.ambient.modulus
+    members = set(S.elements)
+    return sorted(y for y in {oracle_compose(kind, m, "sum", s, shifts[0]) for s in members}
+                  if all(oracle_compose(kind, m, "difference", y, x) in members for x in shifts))
+
+
+def test_translate_intersection_matches_oracle():
+    nonempty = overflows = 0
+    for S, shift_tuples in membership_corpus():
+        for shifts in shift_tuples:
+            want = _oracle_translates(S, shifts)
+            if S.ambient.kind == "integers" and max(map(abs, want), default=0) > 2**63 - 1:
+                with pytest.raises(OverflowBudgetExceeded):  # a survivor beyond the budget
+                    translate_intersection(S, shifts)
+                overflows += 1
+                continue
+            got = translate_intersection(S, shifts)
+            assert list(got.elements) == want, (S.ambient, shifts)
+            assert GroundSet(S.ambient, got.elements) == got
+            nonempty += len(got) > 0
+    assert nonempty >= 20 and overflows
+    big_set = membership_corpus()[1][0]
+    assert code_dtype(big_set.ambient, "sum", big_set.elements, terms=3) is object
+
+
+def test_trusted_paths_pass_the_checks():
+    """restrict, with_label and set_compose build their sets unchecked; each
+    result equals the checked construction and the explicit Python set."""
+    for S, _ in membership_corpus():
+        amb = S.ambient
+        keep = set(S.elements[::2])
+        R = S.restrict(keep.__contains__)
+        assert list(R.elements) == sorted(keep) and GroundSet(amb, R.elements) == R
+        L = S.with_label("x")
+        assert L.elements == S.elements and L.label == "x"
+        assert GroundSet(amb, L.elements, "x") == L
+        for mode in ("difference", "sum"):
+            want = sorted({oracle_compose(amb.kind, amb.modulus, mode, a, b) for a in S for b in R})
+            if amb.kind == "integers" and max(map(abs, want)) > 2**63 - 1:
+                continue  # beyond the element budget: test_set_compose_matches_oracle
+            C = set_compose(S, R, mode)
+            assert list(C.elements) == want and GroundSet(amb, C.elements) == C

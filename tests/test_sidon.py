@@ -26,7 +26,7 @@ from sidonkit import (
     verify_bfamily,
     verify_multiplicity,
 )
-from sidonkit.sidon import MAX_TRIALS, _mirrored, _progression_start
+from sidonkit.sidon import MAX_TRIALS, ViolationWitness, _mirrored, _progression_start
 
 
 def test_verify_multiplicity_examples():
@@ -64,6 +64,16 @@ def test_verify_bfamily_examples():
     assert verify_bfamily(integer_set([0, 1, 3]), BFamilyParams(2, 1)) is None
     with pytest.raises(CapExceeded):
         verify_bfamily(integer_range(0, 30), BFamilyParams(2, 1), cap=10)
+
+
+def test_intersection_witness_needs_k_distinct_elements():
+    # |S ^ (S+1)| = 1, so no witness with k = 3 can hold; repeating the one
+    # common element must not make one
+    S = integer_set([0, 1, 3, 7, 12, 20])
+    assert verify_bfamily(S, BFamilyParams(3, 1)) is None
+    repeated = ViolationWitness(kind="intersection", shifts=(1,), elements=(1, 1, 1), k=3)
+    assert not repeated.verify_against(S)
+    assert ViolationWitness(kind="intersection", shifts=(1,), elements=(1,), k=1).verify_against(S)
 
 
 def test_bfamily_matches_multiplicity_for_k2():

@@ -4,9 +4,10 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import oracle_compose
+from conftest import membership_corpus, oracle_compose
 from sidonkit import (
     AmbientSpec,
     CapExceeded,
@@ -31,6 +32,7 @@ from sidonkit.counting import kappa_of
 from sidonkit.structure import (
     MAX_DENOMINATOR,
     MAX_ORDER,
+    RIGID_STRUCTURE,
     _greedy_disjoint_translates,
     _max_degree_vertex,
     ceil_power,
@@ -466,7 +468,22 @@ def test_decompose_on_plane_sets():
 def test_max_degree_vertex_int64_edge():
     # 2^62 - (-2^62) = 2^63 leaves int64, so this band is coded with Python ints
     P = integer_set([-2**62, 2**62] + list(range(62)))
-    assert _max_degree_vertex(P, {2**63}) == (2**62, 1)
+    assert _max_degree_vertex(P, np.array([2**63], dtype=object)) == (2**62, 1)
+
+
+def test_rigid_core_set_matches_oracle():
+    """A ^ (H + Z) against the explicit Python set, with H and Z in their
+    serialized form (plane pairs as lists)."""
+    for A, shift_tuples in membership_corpus():
+        kind, m = A.ambient.kind, A.ambient.modulus
+        H = [list(h) if isinstance(h, tuple) else h for h in A.elements[::2]]
+        for Z in shift_tuples:
+            Z = [list(z) if isinstance(z, tuple) else z for z in Z]
+            cert = StructureCertificate(RIGID_STRUCTURE, {}, (), rigid={"H": H, "Z": Z})
+            want = {oracle_compose(kind, m, "sum", h, z) for h in H for z in Z}
+            core = rigid_core_set(A, cert)
+            assert list(core.elements) == sorted(want & set(A.elements)), (A.ambient, Z)
+            assert GroundSet(A.ambient, core.elements) == core
 
 
 def _oracle_greedy_translates(amb: AmbientSpec, W, H) -> list:

@@ -7,8 +7,10 @@ Pair i runs `python3 perfbench/run.py --workload W --seed S+i --seconds T
 --trace 0` once in each checkout, T being BENCHMARK.json's run_seconds, the
 parent first on even i and the change first on odd i.  The file holds every
 run and, per workload and side, the median and quartiles of setup_s, pass_s
-and peak_rss_mb, with the number of pairs the change won on each.  Each side
-is recorded by its HEAD commit and the git tree hash of its working files
+and peak_rss_mb, with the number of pairs the change won on each.  After the
+pairs the tier-1 suite runs once in each checkout, parent first, and the file
+records its passed and failed counts, wall time and five slowest tests.  Each
+side is recorded by its HEAD commit and the git tree hash of its working files
 (tracked and untracked, .gitignore applied), so every workload of one file
 is known to have measured the same two trees.
 """
@@ -17,10 +19,12 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,23 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     line = json.loads(done.stdout.strip().splitlines()[-1])
     return {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
             **{m: line["metrics"][m]["value"] for m in METRICS}}
+
+
+def tier1(checkout: Path) -> dict:
+    """One run of the tier-1 suite with the checkout's own sources."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider", "--durations=5"]
+    start = time.monotonic()
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.monotonic() - start
+    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    counts = {key: int(m.group(1)) if (m := re.search(rf"(\d+) {key}", summary)) else 0
+              for key in ("passed", "failed")}
+    slowest = [{"test": name, "phase": phase, "s": float(s)} for s, phase, name in
+               re.findall(r"^([\d.]+)s (setup|call|teardown)\s+(\S+)$", done.stdout, re.M)]
+    return {**counts, "exit_code": done.returncode, "wall_s": round(wall, 2), "slowest": slowest}
 
 
 def spread(values: list) -> dict:
@@ -89,6 +110,11 @@ def main() -> None:
             "change_wins": {m: sum(r["change"][m] < r["parent"][m] for r in runs)
                             for m in METRICS},
         }
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    record["tier1"] = {}
+    for side in ("parent", "change"):
+        record["tier1"][side] = tier1(sides[side])
+        print("tier1", side, record["tier1"][side], file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
 
