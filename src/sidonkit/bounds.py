@@ -84,11 +84,6 @@ def sqrt_upper(x) -> Fraction:
     return root_upper(x, 2)
 
 
-def ceil_sqrt(x: int) -> int:
-    s = math.isqrt(x)
-    return s if s * s == x else s + 1
-
-
 # ---------------------------------------------------------------------------
 # Sidon subsets of sumsets
 
@@ -147,10 +142,9 @@ def diffset_bounds(A: GroundSet, k: int, exact_cap: int = 0) -> BoundReport:
     hds = rep_histogram(D, S, SUM)
     diff_fact = int(hdd.counts(D.elements).min())
     sum_fact = int(hds.counts(S.elements).min())
-    cover = n * sqrt_upper(k * n) + n
-    sigma_d = (len(D) * sqrt_upper(k * len(D)) + len(D)) / n
-    sigma_s = min(len(S) * sqrt_upper(k * len(D)) + len(D),
-                  len(D) * sqrt_upper(k * len(S)) + len(S)) / n
+    cover = sumset_sidon_upper(A, A, k).bound
+    sigma_d = sumset_sidon_upper(D, D, k, sigma=n).bound
+    sigma_s = sumset_sidon_upper(D, S, k, sigma=n).bound
     details = {
         "D_size": len(D),
         "S_size": len(S),

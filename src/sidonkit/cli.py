@@ -84,18 +84,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _load_set(path: str, inputs: dict):
+def _load(path: str, inputs: dict, parse=parse_set):
+    """`parse` of the text of `path`, whose sha256 is recorded in `inputs`."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     inputs[path] = hashlib.sha256(text.encode()).hexdigest()
-    return parse_set(text)
-
-
-def _load_json(path: str, inputs: dict) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    inputs[path] = hashlib.sha256(text.encode()).hexdigest()
-    return json.loads(text)
+    return parse(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
     """Returns (result, exit_code, one-line summary)."""
     sc = args.subcommand
-    A = _load_set(args.set, inputs) if getattr(args, "set", None) else None
+    A = _load(args.set, inputs) if getattr(args, "set", None) else None
     if sc == "energy":
         rep = energy_k(A, args.k, args.mode)
         return rep.to_dict(), 0, f"E_{args.k} = {rep.value} (kappa = {rep.kappa})"
@@ -261,7 +255,7 @@ def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
         value = energy_prime_k(A, args.k, within_pairs_only=args.within_pairs_only)
         return {"k": args.k, "value": value}, 0, f"distinct-tuple energy = {value}"
     if sc == "histogram":
-        B = _load_set(args.right, inputs) if args.right else A
+        B = _load(args.right, inputs) if args.right else A
         hist = rep_histogram(A, B, args.mode, skip_noninvertible=True)
         cap = 10**9 if args.full else 10_000
         return hist.to_dict(max_entries=cap), 0, \
@@ -312,7 +306,7 @@ def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
         if args.mode == "slices":
             rep = sidon_slice_audit(A)
         else:
-            shift_sets = [_load_set(path, inputs) for path in args.shift_set]
+            shift_sets = [_load(path, inputs) for path in args.shift_set]
             rep = heritability_slice(A, shift_sets, args.k, args.g)
         code = 0 if rep.verdict == "holds" else 1
         return rep.to_dict(), code, f"heritability: {rep.verdict}"
@@ -322,7 +316,7 @@ def _dispatch(args, inputs: dict) -> tuple[dict, int, str]:
         return rep.to_dict(), code, \
             f"|{args.n}A-{args.m}A| = {rep.measured} vs bound {float(rep.bound):.3f}"
     if sc == "verify-certificate":
-        obj = _load_json(args.cert, inputs)
+        obj = _load(args.cert, inputs, json.loads)
         while isinstance(obj, dict) and "result" in obj and "kind" not in obj:
             obj = obj["result"]
         if not isinstance(obj, dict):
@@ -366,9 +360,9 @@ def _construct(args) -> tuple[dict, int, str]:
 
 def _bounds(args, A, inputs) -> tuple[dict, int, str]:
     if args.bound == "sumset":
-        B = _load_set(args.left, inputs)
-        C = _load_set(args.right, inputs)
-        target = _load_set(args.target, inputs) if args.target else None
+        B = _load(args.left, inputs)
+        C = _load(args.right, inputs)
+        target = _load(args.target, inputs) if args.target else None
         rep = sumset_sidon_upper(B, C, args.k, sigma=args.sigma, A=target,
                                  exact_cap=args.cap)
     elif args.bound == "diffset":

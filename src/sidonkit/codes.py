@@ -66,67 +66,47 @@ def _ratio_shift(dtype) -> int:
     return _RATIO_BOUND if dtype == np.int64 else 2**64
 
 
-def compose_codes(amb: AmbientSpec, mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Codes of x o y for every code x in `a` and y in `b`, row by row, as
-    one fresh flat array.  In ratio mode `b` holds no zero."""
+def combine_codes(amb: AmbientSpec, mode: str, x, y) -> np.ndarray:
+    """Codes of x o y under numpy broadcasting, as one fresh array: the one
+    group law on codes.  x and y are code arrays or single codes of one
+    dtype, not both single; in ratio mode y is an array holding no zero.
+    Every pair is `combine_codes(amb, mode, a[:, None], b)`, -a is
+    `combine_codes(amb, DIFFERENCE, 0, a)` and the diagonal a o a is
+    `combine_codes(amb, mode, a, a)`."""
     if amb.kind == PLANE:
         p = amb.modulus
         op = np.subtract if mode == DIFFERENCE else np.add
-        out = op.outer(a // p, b // p)
+        out = op(x // p, y // p)
         out %= p
-        y = op.outer(a % p, b % p)
-        y %= p
+        low = op(x % p, y % p)
+        low %= p
         out *= p
-        out += y
-        return out.ravel()
+        out += low
+        return out
     if mode == RATIO and amb.kind == INTEGERS:
-        g = np.gcd.outer(a, b)
-        num = a[:, None] // g
-        den = b // g
+        g = np.gcd(x, y)
+        num = x // g
+        den = y // g
         del g
         sign = np.where(den < 0, -1, 1)
         num *= sign
         den *= sign
-        num *= _ratio_shift(a.dtype)
+        num *= _ratio_shift(num.dtype)
         num += den
-        return num.ravel()
-    if mode == RATIO:  # over F_p: multiply by the inverses of b
-        b = np.array([pow(y, -1, amb.modulus) for y in b.tolist()], dtype=b.dtype)
+        return num
+    if mode == RATIO:  # over F_p: multiply by the inverses of y
+        y = np.array([pow(c, -1, amb.modulus) for c in y.tolist()], dtype=y.dtype)
         mode = PRODUCT
-    op = {DIFFERENCE: np.subtract, SUM: np.add, PRODUCT: np.multiply}[mode]
-    out = op.outer(a, b).ravel()
+    out = {DIFFERENCE: np.subtract, SUM: np.add, PRODUCT: np.multiply}[mode](x, y)
     if amb.kind != INTEGERS:
         out %= amb.modulus
     return out
 
 
-def negate_codes(amb: AmbientSpec, a: np.ndarray) -> np.ndarray:
-    """Codes of -x for every code x in `a`, as one fresh array."""
-    if amb.kind == PLANE:
-        p = amb.modulus
-        out = -(a // p) % p
-        out *= p
-        out += -a % p
-        return out
-    out = -a
-    if amb.kind != INTEGERS:
-        out %= amb.modulus
-    return out
-
-
-def diagonal_codes(amb: AmbientSpec, mode: str, a: np.ndarray) -> np.ndarray:
-    """Codes of x o x for every code x in `a`, in sum or product mode, as
-    one fresh array; they fit wherever the codes of x o y do."""
-    if amb.kind == PLANE:  # (2x, 2y)
-        p = amb.modulus
-        out = 2 * (a // p) % p
-        out *= p
-        out += 2 * a % p
-        return out
-    out = a * a if mode == PRODUCT else a + a
-    if amb.kind != INTEGERS:
-        out %= amb.modulus
-    return out
+def compose_codes(amb: AmbientSpec, mode: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Codes of x o y for every code x in `a` and y in `b`, row by row, as
+    one fresh flat array.  In ratio mode `b` holds no zero."""
+    return combine_codes(amb, mode, a[:, None], b).ravel()
 
 
 def pair_codes(amb: AmbientSpec, mode: str, left, right,

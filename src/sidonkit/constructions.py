@@ -23,7 +23,7 @@ from .ambient import (
     AmbientSpec,
     is_prime,
 )
-from .bounds import root_upper, sqrt_upper, sumset_sidon_upper
+from .bounds import bfamily_size_upper, sqrt_upper, sumset_sidon_upper
 from .counting import difference_histogram, rep_histogram
 from .errors import BadOrder, BadShift, OverflowBudgetExceeded, UnsupportedMode
 from .groundset import GroundSet, affine_image, integer_set, set_compose
@@ -126,7 +126,7 @@ def linstrom_like(g: int, N: int, base: GroundSet | None = None) -> Construction
         "max_multiplicity_overall": overall_max,
         "max_multiplicity_far": far_max,
         "far_bound_holds": far_max <= g,
-        "segment_bound": sqrt_upper(g * N) + root_upper(g * N, 4) + 1,
+        "segment_bound": bfamily_size_upper(N, 2, g, "segment").bound,
     }
     if not stats["size_equals_g_base"] or not stats["far_bound_holds"]:
         status = "fail"

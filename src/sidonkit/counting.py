@@ -61,12 +61,11 @@ from .ambient import (
 )
 from .codes import (
     code_dtype,
+    combine_codes,
     compose_codes,
     decode,
-    diagonal_codes,
     element_codes,
     find_codes,
-    negate_codes,
     pair_codes,
     run_starts,
     sort_codes,
@@ -161,19 +160,24 @@ class RepHistogram:
         pos = self._positions(exclude_values)
         return unique_codes(pos[pos >= 0])
 
+    @functools.cached_property
+    def _count_of_counts(self) -> dict:
+        """Map count -> number of values attaining it, built on first use."""
+        return {c: m for c, m in enumerate(np.bincount(self._counts).tolist()) if m and c}
+
     def count_multiset(self, exclude_values=()) -> dict:
-        """Map count -> number of values attaining it."""
-        bins = np.bincount(self._counts)
+        """Map count -> number of values attaining it, outside the excluded
+        values."""
+        out = dict(self._count_of_counts)
         for c in self._counts[self._excluded(exclude_values)].tolist():
-            bins[c] -= 1
-        return {c: int(m) for c, m in enumerate(bins.tolist()) if m and c}
+            out[c] -= 1
+            if not out[c]:
+                del out[c]
+        return out
 
     def energy(self, k: int, exclude_values=()) -> int:
         """Sum of count^k over the support, exactly."""
-        total = 0
-        for c, mult in self.count_multiset(exclude_values).items():
-            total += mult * c**k
-        return total
+        return sum(mult * c**k for c, mult in self.count_multiset(exclude_values).items())
 
     def values_with_count_in(self, lo: int, hi: int) -> list:
         """Values whose count c satisfies lo < c <= hi."""
@@ -311,19 +315,19 @@ def _self_counts(amb: AmbientSpec, mode: str, elements) -> tuple[np.ndarray, np.
     if mode != DIFFERENCE:
         codes, counts = _count_values(_triangle_codes(amb, mode, a, diagonal=True))
         counts *= 2
-        np.subtract.at(counts, np.searchsorted(codes, diagonal_codes(amb, mode, a)), 1)
+        np.subtract.at(counts, np.searchsorted(codes, combine_codes(amb, mode, a, a)), 1)
         return codes, counts
     upper = _triangle_codes(amb, mode, a, diagonal=False)
     if amb.kind != INTEGERS:
         group = _group_size(amb)
         counts = np.bincount(upper, minlength=group)
-        counts += counts[negate_codes(amb, np.arange(group))]
+        counts += counts[combine_codes(amb, DIFFERENCE, 0, np.arange(group))]
         counts[0] = n
         codes = np.flatnonzero(counts)
         return codes, counts[codes]
     codes, counts = _count_values(upper)
     zero = np.zeros(1, dtype=codes.dtype)
-    return (np.concatenate((codes, zero, negate_codes(amb, codes[::-1]))),
+    return (np.concatenate((codes, zero, combine_codes(amb, DIFFERENCE, 0, codes[::-1]))),
             np.concatenate((counts, [n], counts[::-1])))
 
 
@@ -573,7 +577,7 @@ def _chains(codes: np.ndarray, amb: AmbientSpec, d) -> tuple[np.ndarray, int, in
     the sentinel that ends every path, in enough rounds to cover the
     longest possible path.  The edges on no path lie on cycles."""
     n = codes.size
-    succ = compose_codes(amb, SUM, codes, element_codes(amb, [d], codes.dtype))
+    succ = combine_codes(amb, SUM, codes, element_codes(amb, [d], codes.dtype))
     pos = find_codes(codes, succ)
     has = pos >= 0
     jump = np.append(np.where(has, pos, n), n)

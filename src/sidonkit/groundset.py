@@ -26,7 +26,7 @@ from .ambient import (
     canonical_element,
     compose,
 )
-from .codes import (code_dtype, compose_codes, decode, element_codes, find_codes, pair_codes,
+from .codes import (code_dtype, combine_codes, decode, element_codes, find_codes, pair_codes,
                     unique_codes)
 from .errors import (
     AmbientMismatch,
@@ -143,9 +143,9 @@ def translate_intersection(S: GroundSet, shifts) -> GroundSet:
     dtype = code_dtype(amb, SUM, S.elements, shifts, terms=3)
     codes = element_codes(amb, S.elements, dtype)
     x = element_codes(amb, shifts, dtype)
-    y = compose_codes(amb, SUM, codes, x[:1])
+    y = combine_codes(amb, SUM, codes, x[0])
     for i in range(1, x.size):
-        y = y[find_codes(codes, compose_codes(amb, DIFFERENCE, y, x[i:i + 1])) >= 0]
+        y = y[find_codes(codes, combine_codes(amb, DIFFERENCE, y, x[i])) >= 0]
     return GroundSet.from_iterable(amb, decode(amb, SUM, y))
 
 
@@ -266,7 +266,7 @@ def _finish_parse(ambient: AmbientSpec, raw, label, dedupe: bool) -> GroundSet:
         elems.append(elem)
     if dropped:
         warnings.warn(f"dropped {dropped} duplicate element(s)", stacklevel=2)
-    return GroundSet(ambient, tuple(sorted(elems)), label)
+    return GroundSet._trusted(ambient, tuple(sorted(elems)), label)
 
 
 def parse_set(text: str, dedupe: bool = False) -> GroundSet:
@@ -287,6 +287,8 @@ def parse_set(text: str, dedupe: bool = False) -> GroundSet:
         raise MalformedInput("'elements' must be a list")
     raw = [(None, elem) for elem in obj["elements"]]
     label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise MalformedInput("'label' must be a string")
     return _finish_parse(ambient, raw, label, dedupe)
 
 
@@ -304,6 +306,9 @@ def serialize_set(A: GroundSet, fmt: str = "json") -> str:
         header += f" p={amb.modulus}"
     lines = [f"{_TEXT_HEADER} {header}"]
     if A.label is not None:
+        if "".join(A.label.splitlines()) != A.label:
+            raise MalformedInput(f"label {A.label!r} holds a line break, which the text "
+                                 "format cannot write")
         lines.append(f"# label: {A.label}")
     for x in A:
         lines.append(f"{x[0]},{x[1]}" if isinstance(x, tuple) else str(x))

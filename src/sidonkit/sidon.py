@@ -27,7 +27,7 @@ from .ambient import (
     compose_value,
     negate,
 )
-from .codes import compose_codes, decode, diagonal_codes, element_codes
+from .codes import combine_codes, compose_codes, decode, element_codes
 from .counting import (
     _chain_codes,
     _disjoint_pairs,
@@ -508,8 +508,9 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
     if mode == DIFFERENCE:
         counts[codes == 0] = 0  # the identity, code 0, is the self-pair diagonal
     else:
+        diags = combine_codes(amb, mode, mcodes, mcodes)  # the codes of x o x
         selfs = np.zeros_like(counts)
-        np.add.at(selfs, np.searchsorted(codes, diagonal_codes(amb, mode, mcodes)), 1)
+        np.add.at(selfs, np.searchsorted(codes, diags), 1)
     deletions = 0
     while True:
         # a difference has at most r disjoint pairs, a sum or product (r + s) // 2
@@ -524,15 +525,16 @@ def _repair(sample: list, amb: AmbientSpec, mode: str, k: int) -> tuple[list, in
         j = members.index(target)
         del members[j]
         member_set.discard(target)
-        e = mcodes[j:j + 1]
+        e = mcodes[j]
         mcodes = np.delete(mcodes, j)
-        gone = compose_codes(amb, mode, e, mcodes)  # the pairs (e, b)
+        gone = combine_codes(amb, mode, e, mcodes)  # the pairs (e, b)
         if mode == DIFFERENCE:  # and (b, e)
-            gone = np.concatenate((gone, compose_codes(amb, mode, mcodes, e)))
+            gone = np.concatenate((gone, combine_codes(amb, mode, mcodes, e)))
         else:  # and (b, e) with b o e = e o b, and (e, e)
-            diag = diagonal_codes(amb, mode, e)
+            diag = diags[j]
+            diags = np.delete(diags, j)
             selfs[np.searchsorted(codes, diag)] -= 1
-            gone = np.concatenate((gone, gone, diag))
+            gone = np.concatenate((gone, gone, [diag]))
         np.subtract.at(counts, np.searchsorted(codes, gone), 1)
         deletions += 1
     return members, deletions

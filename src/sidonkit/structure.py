@@ -32,8 +32,9 @@ from .ambient import (
     canonical_element,
     compose_value,
 )
-from .bounds import ceil_sqrt, integer_kth_root
-from .codes import code_dtype, compose_codes, decode, element_codes, find_codes, pair_codes
+from .bounds import integer_kth_root
+from .codes import (code_dtype, combine_codes, compose_codes, decode, element_codes, find_codes,
+                    pair_codes)
 from .counting import (
     difference_histogram,
     dyadic_best_level,
@@ -185,10 +186,7 @@ def energy_gap_decompose(A: GroundSet, delta, eps) -> StructureCertificate:
         raise PreconditionFailed("decomposition needs |A| >= 4")
     M = ceil_power(n, eps / 2)
     l_max = math.ceil(Fraction(2) / eps) + 2
-    multiset = difference_histogram(A).count_multiset()
-
-    def energy(l: int) -> int:
-        return sum(mult * c**l for c, mult in multiset.items())
+    energy = difference_histogram(A).energy
     parameters = {
         "delta": str(delta),
         "eps": str(eps),
@@ -296,7 +294,7 @@ def _greedy_disjoint_translates(W, H: GroundSet) -> list:
     for i, z in enumerate(W):
         if free[i]:
             Z.append(z)
-            d = compose_codes(amb, DIFFERENCE, w[i + 1:], w[i:i + 1])
+            d = combine_codes(amb, DIFFERENCE, w[i + 1:], w[i])
             free[i + 1:] &= find_codes(diffs, d) < 0
     return Z
 
@@ -427,7 +425,7 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
     eps = as_fraction(eps)
     params = {"delta": "1/4", "eps": str(eps), "seed": seed, "trials": trials,
               "core_variant": core_variant, "l_max": l_max}
-    target = ceil_sqrt(len(A))
+    target = ceil_power(len(A), Fraction(1, 2))
     if len(A) < 4:
         return PipelineReport("degenerate", None, A, None, sqrt_target=target,
                               degenerate=True, parameters=params)
@@ -456,9 +454,9 @@ def sum_product_pipeline(A: GroundSet, eps=Fraction(1, 16), seed: int = 0,
                               degenerate=True, parameters=params)
     if l_max < 2:
         raise ValueError("l_max below 2 leaves no multiplicative order")
-    multiset = rep_histogram(core, core, PRODUCT).count_multiset()
-    kappa_table = {l: kappa_of(sum(mult * c**l for c, mult in multiset.items()), len(core), l)
-                   for l in range(2, l_max + 1)}
+    energy = rep_histogram(core, core, PRODUCT).energy
+    kappa_table = {l: kappa_of(energy(l), len(core), l) for l in range(2, l_max + 1)}
+    del energy  # hold no histogram the extraction's trials may evict from the reuse slot
     chosen_l = min(kappa_table, key=lambda l: (kappa_table[l], l))  # ties to the smaller
     ext = extract_random(core, chosen_l, PRODUCT, seed=seed, trials=trials)
     return PipelineReport(MULTIPLICATIVE_BRANCH, cert, ext.subset, ext,

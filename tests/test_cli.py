@@ -71,6 +71,12 @@ def test_malformed_json_exits_2(set_file, tmp_path, capsys):
         bad.write_text(json.dumps({"ambient": ambient, "elements": [1, 2]}))
         code, _, err = run_cli(["energy", "--set", str(bad), "--k", "2"], capsys)
         assert code == 2 and "Traceback" not in err, ambient
+    for label in (5, {"a": 1}):
+        bad = tmp_path / "label.json"
+        bad.write_text(json.dumps({"ambient": {"kind": "integers"}, "elements": [1, 2],
+                                   "label": label}))
+        code, _, err = run_cli(["energy", "--set", str(bad), "--k", "2"], capsys)
+        assert code == 2 and "label" in err, label
 
 
 def _leaf_parsers(parser, path=()):

@@ -909,3 +909,27 @@ def test_histogram_reuse_is_call_scoped():
     hits, after = alternate(integer_range(5, 50), integer_range(0, 7))
     assert hits == [True, True, True]
     assert after == [True, True, False]
+
+
+def test_count_of_counts_is_built_once(monkeypatch):
+    """count_multiset with exclusions, before and after a plain energy on the
+    same histogram, matches the oracle, and np.bincount of the counts runs
+    once for the histogram."""
+    bincount = np.bincount
+    for S, _ in membership_corpus():
+        zero = S.ambient.identity("difference")
+        hist = difference_histogram(S)
+        want, _ = oracle_histogram(S, S, "difference")
+        exclude = [zero, *sorted(want, key=lambda v: (-want[v], str(v)))[:2]]
+        kept = [c for v, c in want.items() if v not in exclude]
+        want_multiset = {c: kept.count(c) for c in set(kept)}
+        calls = []
+        monkeypatch.setattr(np, "bincount", lambda x, *args, **kwargs: (
+            calls.append(x is hist.arrays[1]), bincount(x, *args, **kwargs))[1])
+        assert hist.count_multiset(exclude) == want_multiset
+        for k in (2, 3):
+            assert hist.energy(k) == sum(c**k for c in want.values())
+        assert hist.count_multiset(exclude) == want_multiset
+        assert hist.energy(2, exclude) == sum(c * c for c in kept)
+        assert calls == [True]
+        monkeypatch.undo()

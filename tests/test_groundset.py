@@ -15,6 +15,7 @@ from sidonkit import (
     MalformedInput,
     NonCanonicalElement,
     OverflowBudgetExceeded,
+    SidonkitError,
     UnsupportedMode,
     affine_image,
     co_sidon_check,
@@ -25,7 +26,8 @@ from sidonkit import (
     set_compose,
     shift_set,
 )
-from sidonkit.codes import code_dtype, find_codes, unique_codes
+from sidonkit.codes import (code_dtype, combine_codes, decode, element_codes, find_codes,
+                            unique_codes)
 from sidonkit.groundset import translate_intersection
 
 
@@ -227,6 +229,47 @@ def test_from_iterable_equals_checked_construction():
         GroundSet.from_iterable(AmbientSpec.mod(12), [3, 12])
 
 
+def test_label_with_a_line_break_is_not_written_as_text():
+    # written raw after '# label:', the rest of the label would parse as lines
+    for label in ("x\n5", "a\n# ambient: integers-mod-N N=3", "a\r\nb", "a\n", "a\u2028b"):
+        A = integer_set([1, 2], label=label)
+        with pytest.raises(SidonkitError):
+            serialize_set(A, "text")
+        B = parse_set(serialize_set(A, "json"))
+        assert B == A and B.label == label
+    A = parse_set('{"ambient": {"kind": "integers"}, "elements": [1, 2], "label": "x\\n5"}')
+    with pytest.raises(SidonkitError):
+        serialize_set(A, "text")
+    assert parse_set(serialize_set(A.with_label("x 5"), "text")).label == "x 5"
+
+
+def test_json_label_must_be_a_string():
+    for label in ("5", '{"a": 1}', "[1]", "true"):
+        with pytest.raises(MalformedInput, match="label"):
+            parse_set('{"ambient": {"kind": "integers"}, "elements": [1, 2], '
+                      f'"label": {label}}}')
+    A = parse_set('{"ambient": {"kind": "integers"}, "elements": [1], "label": null}')
+    assert A.label is None
+
+
+def test_parse_set_equals_checked_construction():
+    # parse_set canonicalises each element once and skips the constructor's checks
+    cases = [('{"ambient": {"kind": "integers"}, "elements": [5, %d, -3, %d]}'
+              % (2**63 - 1, -(2**63 - 1)), None),
+             ("# ambient: integers-mod-N N=12\n11\n0\n5\n11\n", "dup"),
+             ('{"ambient": {"kind": "prime-field", "p": 13}, "elements": [12, 0, 7]}', None),
+             ("# ambient: prime-square-plane p=3\n2,0\n1,2\n0,2\n", None)]
+    for text, dup in cases:
+        if dup:
+            with pytest.warns(UserWarning, match="duplicate"):
+                A = parse_set(text, dedupe=True)
+        else:
+            A = parse_set(text)
+        checked = GroundSet(A.ambient, A.elements, A.label)
+        assert A == checked and hash(A) == hash(checked) and A.members == checked.members
+        assert list(A.elements) == sorted(set(A.elements))
+
+
 def test_serialize_is_json():
     A = integer_range(0, 4)
     obj = json.loads(serialize_set(A))
@@ -289,3 +332,48 @@ def test_trusted_paths_pass_the_checks():
                 continue  # beyond the element budget: test_set_compose_matches_oracle
             C = set_compose(S, R, mode)
             assert list(C.elements) == want and GroundSet(amb, C.elements) == C
+
+
+# ---------------------------------------------------------------------------
+# The group law on codes, against `oracle_compose`
+
+def _codes_of(S: GroundSet, mode: str, elements) -> np.ndarray:
+    return element_codes(S.ambient, elements, code_dtype(S.ambient, mode, S.elements))
+
+
+def test_combine_codes_matches_oracle():
+    """Every shape combine_codes takes, in every mode of every ambient of
+    the membership corpus: all pairs, equal arrays, an array against one
+    code, one code against an array, the negation and the diagonal."""
+    dtypes = set()
+    for S, _ in membership_corpus():
+        amb = S.ambient
+        kind, m = amb.kind, amb.modulus
+        for mode in amb.modes:
+            a = _codes_of(S, mode, S.elements)
+            right = [y for y in S.elements if mode != "ratio" or y != 0]
+            b = _codes_of(S, mode, right)
+            dtypes.add(a.dtype)
+
+            def values(codes):
+                return decode(amb, mode, np.asarray(codes).ravel())
+
+            def want(pairs):
+                return [oracle_compose(kind, m, mode, x, y) for x, y in pairs]
+
+            assert values(combine_codes(amb, mode, a[:, None], b)) == \
+                want((x, y) for x in S.elements for y in right)
+            assert values(combine_codes(amb, mode, a[:b.size], b[::-1])) == \
+                want(zip(S.elements, right[::-1]))
+            for i, y in enumerate(right if mode != "ratio" else ()):  # ratio: y an array
+                assert values(combine_codes(amb, mode, a, b[i])) == \
+                    want((x, y) for x in S.elements)
+            for i, x in enumerate(S.elements):
+                assert values(combine_codes(amb, mode, a[i], b)) == want((x, y) for y in right)
+            if mode != "ratio":
+                assert values(combine_codes(amb, mode, a, a)) == want(zip(S, S))
+        zero = amb.identity("difference")
+        d = _codes_of(S, "difference", S.elements)
+        assert decode(amb, "difference", combine_codes(amb, "difference", 0, d)) == \
+            [oracle_compose(kind, m, "difference", zero, x) for x in S.elements]
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}

@@ -12,7 +12,8 @@ pairs the tier-1 suite runs once in each checkout, parent first, and the file
 records its passed and failed counts, wall time and five slowest tests.  Each
 side is recorded by its HEAD commit and the git tree hash of its working files
 (tracked and untracked, .gitignore applied), so every workload of one file
-is known to have measured the same two trees.
+is known to have measured the same two trees, and by the line count of its
+`src/sidonkit/*.py` (`src_lines`, as `cat src/sidonkit/*.py | wc -l` counts).
 """
 
 import argparse
@@ -66,7 +67,8 @@ def spread(values: list) -> dict:
 
 
 def checkout_id(checkout: Path) -> dict:
-    """HEAD and the tree hash of the working files, from a throwaway index."""
+    """HEAD, the tree hash of the working files (from a throwaway index) and
+    the line count of the sources."""
     git = ["git", "-C", str(checkout)]
     head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,8 +77,10 @@ def checkout_id(checkout: Path) -> dict:
         tree = subprocess.run(git + ["write-tree"], env=env, check=True, capture_output=True,
                               text=True).stdout.strip()
     base = subprocess.run(git + ["rev-parse", "HEAD^{tree}"], capture_output=True, text=True)
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (checkout / "src" / "sidonkit").glob("*.py"))
     return {"commit": head.stdout.strip() or None, "tree": tree,
-            "modified": tree != base.stdout.strip()}
+            "modified": tree != base.stdout.strip(), "src_lines": lines}
 
 
 def main() -> None:
